@@ -7,76 +7,32 @@ and rational generating functions) compute the same counts and are
 cross-validated bit for bit.
 """
 
-from .closedform import X1, X2, X3, case_mod4, closed_form, root_basis
-from .counting import (
-    ArityMismatch,
-    ClassLabel,
-    ClassVector,
-    NotDivisibleBy3,
-    TooLarge,
-    brute_force_words,
-    classify,
-    composition_sum,
-    direct_sum,
-    trinomial,
-)
-from .engines import (
-    ENGINE_IDS,
-    EngineDomainError,
-    bench_engine,
-    compute_series,
-    compute_value,
-    decimal_digits,
-    run_validation,
-)
-from .genfun import NonUnitConstantTerm, RationalGF, gf_coefficients, gf_for_class, poly_mul, poly_trim
+from .closedform import case_mod4, closed_form, root_basis
+from .counting import ClassLabel, brute_force_words, classify, composition_sum, direct_sum, trinomial
+from .engines import bench_engine, compute_value, decimal_digits
+from .genfun import gf_coefficients, gf_for_class
 from .recurrence import (
-    IDENTITIES,
-    IdentityReport,
-    IdentityViolation,
     TRANSITION_MATRIX,
-    char_poly_check,
     coupled_sequence,
-    coupled_step,
     decoupled_d,
     decoupled_third_order,
     identity_suite,
     quartic_c,
 )
-from .ring import AlgebraicQ3i, NotRationalInteger
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraicQ3i",
-    "ArityMismatch",
     "ClassLabel",
-    "ClassVector",
-    "ENGINE_IDS",
-    "EngineDomainError",
-    "IDENTITIES",
-    "IdentityReport",
-    "IdentityViolation",
-    "NonUnitConstantTerm",
-    "NotDivisibleBy3",
-    "NotRationalInteger",
-    "RationalGF",
-    "TooLarge",
     "TRANSITION_MATRIX",
-    "X1",
-    "X2",
-    "X3",
     "bench_engine",
     "brute_force_words",
     "case_mod4",
-    "char_poly_check",
     "classify",
     "closed_form",
     "composition_sum",
-    "compute_series",
     "compute_value",
     "coupled_sequence",
-    "coupled_step",
     "decimal_digits",
     "decoupled_d",
     "decoupled_third_order",
@@ -84,10 +40,7 @@ __all__ = [
     "gf_coefficients",
     "gf_for_class",
     "identity_suite",
-    "poly_mul",
-    "poly_trim",
     "quartic_c",
     "root_basis",
-    "run_validation",
     "trinomial",
 ]

@@ -1,7 +1,9 @@
 """Command-line interface: compute, table, bfile, validate, bench.
 
-Exit status is 0 on success, 1 when a validation check fails, and 2 for
-usage errors (bad flags, out-of-domain requests).  All values print in
+Exit status is 0 on success, 1 when a validation check fails, 2 for
+usage errors (bad flags, out-of-domain requests), and 3 for internal
+errors (an engine produced a value that cannot be right, such as a
+closed form that does not evaluate to an integer).  All values print in
 full decimal so outputs can be diffed bit-for-bit.
 """
 
@@ -13,20 +15,24 @@ import hashlib
 import io
 import json
 import sys
+from itertools import islice
 
-from .counting import ClassLabel, TooLarge
+from .counting import ArityMismatch, ClassLabel, TooLarge
 from .engines import (
     ENGINE_IDS,
-    ENGINES,
     EngineDomainError,
     bench_engine,
     compute_series,
     compute_value,
     decimal_digits,
+    engine_info,
     run_validation,
 )
+from .recurrence import decoupled_stream
+from .ring import NotRationalInteger
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 # OEIS b-files are emitted for these entries (classes A, B, C in order).
 OEIS_SEQUENCES = {
@@ -43,8 +49,9 @@ class UnknownSequence(ValueError):
 def bfile_lines(sequence: str, max_n: int, offset: int = 1) -> list[str]:
     """The "index value" lines of the b-file for one OEIS id.
 
-    Values come from the decoupled engine; the index runs from `offset`
-    (default 1, matching initial values that start at n = 1) to max_n.
+    Values come from one pass of the class's decoupled recurrence; the
+    index runs from `offset` (default 1, matching initial values that
+    start at n = 1) to max_n.
     """
     if sequence not in OEIS_SEQUENCES:
         raise UnknownSequence(f"unknown sequence {sequence!r}; known: {', '.join(OEIS_SEQUENCES)}")
@@ -52,8 +59,8 @@ def bfile_lines(sequence: str, max_n: int, offset: int = 1) -> list[str]:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     if offset < 0 or offset > max_n:
         raise ValueError(f"offset must be in 0..max_n, got {offset}")
-    label = OEIS_SEQUENCES[sequence]
-    return [f"{n} {compute_value('decoupled', label, n)}" for n in range(offset, max_n + 1)]
+    values = islice(decoupled_stream(OEIS_SEQUENCES[sequence]), offset, max_n + 1)
+    return [f"{n} {value}" for n, value in enumerate(values, offset)]
 
 
 def _table_rows(engine: str, max_n: int) -> list[dict[str, int]]:
@@ -124,8 +131,7 @@ def _cmd_bench(args) -> int:
     if not engines:
         raise EngineDomainError("no engines given")
     for engine in engines:
-        if engine not in ENGINES:
-            raise EngineDomainError(f"unknown engine {engine!r}; known: {', '.join(ENGINE_IDS)}")
+        engine_info(engine)
     print(f"{'engine':<12} {'seconds':>10} {'digits':>8}  values")
     for engine in engines:
         elapsed, values = bench_engine(engine, args.max_n)
@@ -181,6 +187,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (NotRationalInteger, ArityMismatch) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except (EngineDomainError, UnknownSequence, TooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

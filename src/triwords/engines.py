@@ -4,28 +4,30 @@ Every engine computes the same four integer sequences by a different
 route, so any disagreement, down to a single bit, is a bug in one of
 them.  The registry below records each engine's domain (minimum n, an
 upper bound for the brute-force enumerator, and which classes it covers)
-and the validation report runs every pairwise agreement check the domains
-allow, the 27^n total identity, the characteristic-polynomial
-factorisation and the elimination-identity suite.
+and its one route to the numbers: a stream of rows from n = 0, or a
+function of a single n.  Values, series, bench timings and the validation
+report all read an engine through that route.  The report checks every
+engine against the coupled reference over its domain, the 27^n total
+identity, the characteristic-polynomial factorisation and the
+elimination-identity suite.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
+from typing import Callable, Iterator
 
 from .closedform import case_mod4, closed_form, root_basis
 from .counting import ClassLabel, ClassVector, brute_force_words, composition_sum
-from .genfun import gf_coefficients, gf_for_class
+from .genfun import gf_for_class, gf_stream
 from .recurrence import (
-    QUARTIC_SEEDS,
-    THIRD_ORDER_SEEDS,
     char_poly_check,
-    coupled_sequence,
-    decoupled_d,
-    decoupled_third_order,
+    coupled_stream,
+    decoupled_stream,
     identity_suite,
-    quartic_c,
+    quartic_c_stream,
 )
 
 ALL_LABELS = (ClassLabel.A, ClassLabel.B, ClassLabel.C, ClassLabel.D)
@@ -48,6 +50,25 @@ class EngineDomainError(ValueError):
     """The engine does not cover the requested class or index."""
 
 
+# An engine's rows: (labels, lo, hi) -> the values of those classes, in
+# label order, for n = lo..hi.
+Rows = Callable[[tuple[ClassLabel, ...], int, int], Iterator[tuple[int, ...]]]
+
+
+def _streamed(stream: Callable[[tuple[ClassLabel, ...]], Iterator[tuple[int, ...]]]) -> Rows:
+    """Rows of an engine that produces every index from n = 0: read one pass."""
+    return lambda labels, lo, hi: islice(stream(labels), lo, hi + 1)
+
+
+def _pointwise(point: Callable[[tuple[ClassLabel, ...], int], tuple[int, ...]]) -> Rows:
+    """Rows of an engine that computes one index at a time: map it over n."""
+    return lambda labels, lo, hi: (point(labels, n) for n in range(lo, hi + 1))
+
+
+def _pick(v: ClassVector, labels: tuple[ClassLabel, ...]) -> tuple[int, ...]:
+    return tuple(map(v.component, labels))
+
+
 @dataclass(frozen=True, slots=True)
 class EngineInfo:
     name: str
@@ -55,32 +76,54 @@ class EngineInfo:
     max_n: int | None
     labels: tuple[ClassLabel, ...]
     description: str
+    rows: Rows
+    # validation stops here even where the engine itself goes further
+    check_max_n: int | None = None
 
 
+# The lambdas look their engine functions up by name at call time, so the
+# registry follows whatever this module's names are bound to.  Coupled
+# slices its vector stream itself, so that skipped vectors are never picked.
 ENGINES: dict[str, EngineInfo] = {
     e.name: e
     for e in (
-        EngineInfo("brute", 0, 5, ALL_LABELS, "enumerate all 3^(3n) words"),
-        EngineInfo("compsum", 0, None, ALL_LABELS, "sum trinomials over all letter-count compositions"),
-        EngineInfo("coupled", 0, None, ALL_LABELS, "iterate the coupled 4x4 recurrence"),
-        EngineInfo("decoupled", 0, None, ALL_LABELS, "per-class decoupled recurrences (default)"),
-        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), "fourth-order recurrence, class C only"),
-        EngineInfo("closed", 1, None, ALL_LABELS, "closed form with oscillating term, exact ring arithmetic"),
-        EngineInfo("rootbasis", 1, None, ALL_LABELS, "rational combination of characteristic-root powers"),
-        EngineInfo("mod4", 1, None, ALL_LABELS, "radical-free closed form branched on n mod 4"),
-        EngineInfo("genfun", 0, None, ALL_LABELS, "coefficient extraction from the generating functions"),
+        EngineInfo("brute", 0, 5, ALL_LABELS, "enumerate all 3^(3n) words",
+                   _pointwise(lambda labels, n: _pick(brute_force_words(n), labels))),
+        EngineInfo("compsum", 0, None, ALL_LABELS, "sum trinomials over all letter-count compositions",
+                   _pointwise(lambda labels, n: _pick(composition_sum(n), labels)), check_max_n=300),
+        EngineInfo("coupled", 0, None, ALL_LABELS, "iterate the coupled 4x4 recurrence",
+                   lambda labels, lo, hi: (_pick(v, labels) for v in islice(coupled_stream(), lo, hi + 1))),
+        EngineInfo("decoupled", 0, None, ALL_LABELS, "per-class decoupled recurrences (default)",
+                   _streamed(lambda labels: zip(*map(decoupled_stream, labels)))),
+        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), "fourth-order recurrence, class C only",
+                   _streamed(lambda labels: zip(quartic_c_stream()))),
+        EngineInfo("closed", 1, None, ALL_LABELS, "closed form with oscillating term, exact ring arithmetic",
+                   _pointwise(lambda labels, n: tuple(closed_form(label, n) for label in labels))),
+        EngineInfo("rootbasis", 1, None, ALL_LABELS, "rational combination of characteristic-root powers",
+                   _pointwise(lambda labels, n: tuple(root_basis(label, n) for label in labels))),
+        EngineInfo("mod4", 1, None, ALL_LABELS, "radical-free closed form branched on n mod 4",
+                   _pointwise(lambda labels, n: tuple(case_mod4(label, n) for label in labels))),
+        EngineInfo("genfun", 0, None, ALL_LABELS, "coefficient extraction from the generating functions",
+                   _streamed(lambda labels: zip(*(gf_stream(gf_for_class(label)) for label in labels)))),
     )
 }
 
 ENGINE_IDS = tuple(ENGINES)
+REFERENCE_ENGINE = "coupled"
 
 
-def _check_domain(engine: str, label: ClassLabel, n: int) -> EngineInfo:
+def engine_info(engine: str) -> EngineInfo:
+    """The registry entry of an engine; raises EngineDomainError for unknown names."""
     try:
-        info = ENGINES[engine]
+        return ENGINES[engine]
     except KeyError:
         raise EngineDomainError(f"unknown engine {engine!r}; known: {', '.join(ENGINE_IDS)}") from None
-    if label not in info.labels:
+
+
+def _check_domain(engine: str, n: int, label: ClassLabel | None = None) -> EngineInfo:
+    """Look the engine up and check it covers index n, and the class when one is given."""
+    info = engine_info(engine)
+    if label is not None and label not in info.labels:
         raise EngineDomainError(f"engine {engine!r} only covers classes {[l.value for l in info.labels]}")
     if n < info.min_n:
         raise EngineDomainError(f"engine {engine!r} needs n >= {info.min_n}, got {n}")
@@ -91,69 +134,18 @@ def _check_domain(engine: str, label: ClassLabel, n: int) -> EngineInfo:
 
 def compute_value(engine: str, label: ClassLabel, n: int) -> int:
     """One class count by one engine; raises EngineDomainError when out of range."""
-    _check_domain(engine, label, n)
-    if engine == "brute":
-        return brute_force_words(n).component(label)
-    if engine == "compsum":
-        return composition_sum(n).component(label)
-    if engine == "coupled":
-        return coupled_sequence(n)[n].component(label)
-    if engine == "decoupled":
-        return decoupled_d(n) if label is ClassLabel.D else decoupled_third_order(label, n)
-    if engine == "quartic-c":
-        return quartic_c(n)
-    if engine == "closed":
-        return closed_form(label, n)
-    if engine == "rootbasis":
-        return root_basis(label, n)
-    if engine == "mod4":
-        return case_mod4(label, n)
-    return gf_coefficients(gf_for_class(label), n)[n]
-
-
-def _third_order_series(label: ClassLabel, N: int) -> list[int]:
-    out = list(THIRD_ORDER_SEEDS[label][: N + 1])
-    while len(out) <= N:
-        out.append(27 * (out[-1] - out[-2] + 27 * out[-3]))
-    return out
-
-
-def _quartic_series(N: int) -> list[int]:
-    out = list(QUARTIC_SEEDS[: N + 1])
-    while len(out) <= N:
-        out.append(26 * out[-1] + 702 * out[-3] + 729 * out[-4])
-    return out
-
-
-def _d_series(N: int) -> list[int]:
-    out = [0]
-    if N >= 1:
-        out.append(18)
-    while len(out) <= N:
-        out.append(27 * out[-1])
-    return out
+    info = _check_domain(engine, n, label)
+    return next(info.rows((label,), n, n))[0]
 
 
 def compute_series(engine: str, max_n: int) -> list[ClassVector]:
     """Class vectors for n = 0..max_n; only engines defined from n = 0 qualify."""
     if max_n < 0:
         raise EngineDomainError(f"max_n must be nonnegative, got {max_n}")
-    info = _check_domain(engine, ALL_LABELS[0] if engine != "quartic-c" else ClassLabel.C, max_n)
+    info = _check_domain(engine, max_n)
     if info.min_n > 0 or info.labels != ALL_LABELS:
         raise EngineDomainError(f"engine {engine!r} cannot produce the full table from n = 0")
-    if engine == "brute":
-        return [brute_force_words(n) for n in range(max_n + 1)]
-    if engine == "compsum":
-        return [composition_sum(n) for n in range(max_n + 1)]
-    if engine == "coupled":
-        return coupled_sequence(max_n)
-    if engine == "decoupled":
-        series = [_third_order_series(lab, max_n) for lab in ALL_LABELS[:3]]
-        series.append(_d_series(max_n))
-        return [ClassVector(n, *(s[n] for s in series)) for n in range(max_n + 1)]
-    # genfun
-    streams = [gf_coefficients(gf_for_class(lab), max_n) for lab in ALL_LABELS]
-    return [ClassVector(n, *(s[n] for s in streams)) for n in range(max_n + 1)]
+    return [ClassVector(n, *row) for n, row in enumerate(info.rows(ALL_LABELS, 0, max_n))]
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,12 +155,10 @@ class CheckResult:
     detail: str
 
 
-def _agreement(name: str, reference: list[ClassVector], candidate, lo: int, hi: int,
-               labels: tuple[ClassLabel, ...] = ALL_LABELS) -> CheckResult:
-    """Compare candidate(label, n) against a reference sequence on [lo, hi]."""
-    for n in range(lo, hi + 1):
-        for label in labels:
-            got = candidate(label, n)
+def _agreement(name: str, reference: list[ClassVector], info: EngineInfo, lo: int, hi: int) -> CheckResult:
+    """Compare an engine's rows against a reference sequence on [lo, hi]."""
+    for n, row in enumerate(info.rows(info.labels, lo, hi), lo):
+        for label, got in zip(info.labels, row):
             want = reference[n].component(label)
             if got != want:
                 if decimal_digits(got) <= 40 and decimal_digits(want) <= 40:
@@ -181,48 +171,14 @@ def run_validation(max_n: int) -> list[CheckResult]:
     """All cross-engine, identity and structural checks up to max_n."""
     if max_n < 4:
         raise ValueError(f"validation needs max_n >= 4, got {max_n}")
-    reference = coupled_sequence(max_n)
+    reference = compute_series(REFERENCE_ENGINE, max_n)
     results = []
 
-    brute_hi = min(max_n, ENGINES["brute"].max_n)
-    brute = compute_series("brute", brute_hi)
-    results.append(
-        _agreement("engine/brute-vs-coupled", reference, lambda lab, n: brute[n].component(lab), 0, brute_hi)
-    )
-
-    compsum_hi = min(max_n, 300)
-    compsum = compute_series("compsum", compsum_hi)
-    results.append(
-        _agreement("engine/compsum-vs-coupled", reference, lambda lab, n: compsum[n].component(lab), 0, compsum_hi)
-    )
-
-    decoupled = compute_series("decoupled", max_n)
-    results.append(
-        _agreement("engine/decoupled-vs-coupled", reference, lambda lab, n: decoupled[n].component(lab), 0, max_n)
-    )
-
-    quartic = _quartic_series(max_n)
-    results.append(
-        _agreement(
-            "engine/quartic-c-vs-coupled", reference, lambda lab, n: quartic[n], 0, max_n, labels=(ClassLabel.C,)
-        )
-    )
-
-    for engine in ("closed", "rootbasis", "mod4"):
-        results.append(
-            _agreement(
-                f"engine/{engine}-vs-coupled",
-                reference,
-                lambda lab, n, e=engine: compute_value(e, lab, n),
-                1,
-                max_n,
-            )
-        )
-
-    genfun = compute_series("genfun", max_n)
-    results.append(
-        _agreement("engine/genfun-vs-coupled", reference, lambda lab, n: genfun[n].component(lab), 0, max_n)
-    )
+    for info in ENGINES.values():
+        if info.name == REFERENCE_ENGINE:
+            continue
+        hi = min(cap for cap in (max_n, info.max_n, info.check_max_n) if cap is not None)
+        results.append(_agreement(f"engine/{info.name}-vs-{REFERENCE_ENGINE}", reference, info, info.min_n, hi))
 
     power = 1
     v4 = reference[4]
@@ -255,9 +211,9 @@ def run_validation(max_n: int) -> list[CheckResult]:
 
 
 def bench_engine(engine: str, n: int) -> tuple[float, dict[ClassLabel, int]]:
-    """Wall-clock time and values for computing every supported class at n."""
-    info = _check_domain(engine, ENGINES[engine].labels[0], n)
+    """Wall-clock time and values for computing every supported class at n, in one pass."""
+    info = _check_domain(engine, n)
     start = time.perf_counter()
-    values = {label: compute_value(engine, label, n) for label in info.labels}
+    row = next(info.rows(info.labels, n, n))
     elapsed = time.perf_counter() - start
-    return elapsed, values
+    return elapsed, dict(zip(info.labels, row))

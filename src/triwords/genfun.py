@@ -17,7 +17,10 @@ from these functions is therefore a sixth independent compute engine.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import count, islice
+from typing import Iterator
 
 from .counting import ClassLabel
 
@@ -92,23 +95,29 @@ def gf_for_class(label: ClassLabel) -> RationalGF:
     return _normalized(numerator, denominator)
 
 
-def gf_coefficients(gf: RationalGF, N: int) -> list[int]:
-    """Taylor coefficients c_0..c_N of a rational generating function.
+def gf_stream(gf: RationalGF) -> Iterator[int]:
+    """Taylor coefficients c_0, c_1, c_2, ... of a rational generating function.
 
     Uses the linear recursion q_0*c_n = p_n - sum_{j>=1} q_j*c_{n-j}; with
     |q_0| = 1 every coefficient stays an exact integer.
     """
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
     q = gf.denominator
     p = gf.numerator
     q0 = q[0]
     if q0 not in (1, -1):
         raise NonUnitConstantTerm(f"denominator constant term is {q0}, need +-1")
-    coeffs: list[int] = []
-    for n in range(N + 1):
+    recent: deque[int] = deque(maxlen=len(q) - 1)  # c_{n-1}, c_{n-2}, ...
+    for n in count():
         acc = p[n] if n < len(p) else 0
-        for j in range(1, min(n, len(q) - 1) + 1):
-            acc -= q[j] * coeffs[n - j]
-        coeffs.append(acc * q0)  # dividing by +-1
-    return coeffs
+        for qj, cj in zip(q[1:], recent):
+            acc -= qj * cj
+        c = acc * q0  # dividing by +-1
+        recent.appendleft(c)
+        yield c
+
+
+def gf_coefficients(gf: RationalGF, N: int) -> list[int]:
+    """Taylor coefficients c_0..c_N of a rational generating function (see gf_stream)."""
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
+    return list(islice(gf_stream(gf), N + 1))

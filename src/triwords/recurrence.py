@@ -20,16 +20,20 @@ polynomial factors as (x + 1) times the one above; the extra root -1 is
 spurious (it cannot match the initial values), which is how the shared
 third-order recurrence is identified in the first place.
 
-This module implements those engines and a numeric identity suite for
-every intermediate elimination identity, all in exact integer arithmetic.
+This module writes each recurrence once, as a generator of its values
+from n = 0 (the engines take the first N + 1 items or item n), and adds a
+numeric identity suite for every intermediate elimination identity, all
+in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .counting import ClassLabel, ClassVector
+from .genfun import poly_mul
 
 # Row order A, B, C, D; row dot (A, B, C, D) at n-1 gives the count at n.
 # Every column sums to 27: three added letters scale the total by 27.
@@ -80,14 +84,61 @@ def coupled_step(v: ClassVector) -> ClassVector:
     )
 
 
+def coupled_stream() -> Iterator[ClassVector]:
+    """Class vectors for n = 0, 1, 2, ..., iterated from the seed (1, 0, 0, 0)."""
+    v = ClassVector(0, 1, 0, 0, 0)
+    while True:
+        yield v
+        v = coupled_step(v)
+
+
+def third_order_stream(label: ClassLabel) -> Iterator[int]:
+    """C_label(n) for n = 0, 1, 2, ... by the shared third-order recurrence (A, B, C)."""
+    seeds = THIRD_ORDER_SEEDS[label]
+    yield from seeds
+    x3, x2, x1 = seeds[1:]
+    while True:
+        x3, x2, x1 = x2, x1, 27 * (x1 - x2 + 27 * x3)
+        yield x1
+
+
+def d_stream() -> Iterator[int]:
+    """C_D(n) for n = 0, 1, 2, ...: D(0) = 0, D(1) = 18 and D(n) = 27*D(n-1)."""
+    yield 0
+    x = 18
+    while True:
+        yield x
+        x *= 27
+
+
+def decoupled_stream(label: ClassLabel) -> Iterator[int]:
+    """The stream of a class by its own decoupled recurrence."""
+    return d_stream() if label is ClassLabel.D else third_order_stream(label)
+
+
+def quartic_c_stream() -> Iterator[int]:
+    """C_C(n) for n = 0, 1, 2, ... by the fourth-order recurrence.
+
+    x(n) = 26*x(n-1) + 702*x(n-3) + 729*x(n-4), applied for n >= 5 on top
+    of the seed values C(0..4) (see QUARTIC_SEEDS for why five seeds).
+    """
+    yield from QUARTIC_SEEDS
+    x4, x3, x2, x1 = QUARTIC_SEEDS[1:]
+    while True:
+        x4, x3, x2, x1 = x3, x2, x1, 26 * x1 + 702 * x3 + 729 * x4
+        yield x1
+
+
+def _nth(stream: Iterator[int], n: int) -> int:
+    """Item n of a stream, advancing it no further."""
+    return next(islice(stream, n, None))
+
+
 def coupled_sequence(N: int) -> list[ClassVector]:
     """Class vectors for n = 0..N, iterated from the seed (1, 0, 0, 0)."""
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
-    seq = [ClassVector(0, 1, 0, 0, 0)]
-    for _ in range(N):
-        seq.append(coupled_step(seq[-1]))
-    return seq
+    return list(islice(coupled_stream(), N + 1))
 
 
 def decoupled_third_order(label: ClassLabel, n: int) -> int:
@@ -96,49 +147,21 @@ def decoupled_third_order(label: ClassLabel, n: int) -> int:
         raise ValueError("third-order engine covers classes A, B, C; use decoupled_d for D")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    seeds = THIRD_ORDER_SEEDS[label]
-    if n < len(seeds):
-        return seeds[n]
-    x3, x2, x1 = seeds[1:]
-    for _ in range(n - 3):
-        x3, x2, x1 = x2, x1, 27 * (x1 - x2 + 27 * x3)
-    return x1
+    return _nth(third_order_stream(label), n)
 
 
 def decoupled_d(n: int) -> int:
     """Class count for D: D(n) = 27*D(n-1) with D(1) = 18, and D(0) = 0."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 0
-    x = 18
-    for _ in range(n - 1):
-        x *= 27
-    return x
+    return _nth(d_stream(), n)
 
 
 def quartic_c(n: int) -> int:
-    """Class count for C via its fourth-order recurrence.
-
-    x(n) = 26*x(n-1) + 702*x(n-3) + 729*x(n-4), applied for n >= 5 on top
-    of the seed values C(0..4) (see QUARTIC_SEEDS for why five seeds).
-    """
+    """Class count for C via its fourth-order recurrence (see quartic_c_stream)."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n < len(QUARTIC_SEEDS):
-        return QUARTIC_SEEDS[n]
-    x4, x3, x2, x1 = QUARTIC_SEEDS[1:]
-    for _ in range(n - 4):
-        x4, x3, x2, x1 = x3, x2, x1, 26 * x1 + 702 * x3 + 729 * x4
-    return x1
-
-
-def _poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
-    return out
+    return _nth(quartic_c_stream(), n)
 
 
 def char_poly_check() -> bool:
@@ -147,9 +170,9 @@ def char_poly_check() -> bool:
     Expands the right-hand side over exact integer coefficient lists and
     compares coefficient-by-coefficient with the left.
     """
-    quartic = [-729, -702, 0, -26, 1]  # ascending powers
-    cubic = [-729, 27, -27, 1]
-    return _poly_mul([1, 1], cubic) == quartic
+    quartic = (-729, -702, 0, -26, 1)  # ascending powers
+    cubic = (-729, 27, -27, 1)
+    return poly_mul((1, 1), cubic) == quartic
 
 
 # Elimination identities tying the four sequences together.  Each entry is

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from triwords.cli import bfile_lines, main
+from triwords.cli import OEIS_SEQUENCES, bfile_lines, main
 from triwords.engines import decimal_digits
+from triwords.recurrence import coupled_sequence
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +44,18 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "--class", "A", "--n", "0", "--engine", "closed")
         assert code == 2
         assert "error" in err
+
+    def test_internal_error_is_not_usage_error(self, capsys, monkeypatch):
+        from triwords.ring import NotRationalInteger
+
+        def broken(self):
+            raise NotRationalInteger("simulated non-integer closed form")
+
+        monkeypatch.setattr("triwords.ring.AlgebraicQ3i.to_integer", broken)
+        code, out, err = run_cli(capsys, "compute", "--class", "A", "--n", "5", "--engine", "closed")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: simulated non-integer closed form\n"
 
     def test_brute_cap_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--class", "A", "--n", "9", "--engine", "brute")
@@ -137,6 +150,13 @@ class TestBfile:
     def test_unknown_sequence_library_error(self):
         with pytest.raises(Exception):
             bfile_lines("A000001", 3)
+
+    @pytest.mark.parametrize("offset", [0, 1, 5])
+    @pytest.mark.parametrize("sequence", sorted(OEIS_SEQUENCES))
+    def test_matches_coupled_across_seeds(self, sequence, offset):
+        label = OEIS_SEQUENCES[sequence]
+        want = [f"{v.n} {v.component(label)}" for v in coupled_sequence(40)[offset:]]
+        assert bfile_lines(sequence, 40, offset) == want
 
     def test_max_n_must_be_positive(self, capsys):
         code, _, err = run_cli(capsys, "bfile", "A391468", "--max-n", "0")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from triwords.counting import ClassLabel
@@ -42,6 +44,10 @@ class TestDomains:
         with pytest.raises(EngineDomainError):
             compute_value("magic", ClassLabel.A, 1)
 
+    def test_bench_unknown_engine(self):
+        with pytest.raises(EngineDomainError):
+            bench_engine("magic", 5)
+
     def test_series_needs_full_coverage_from_zero(self):
         for engine in ("closed", "rootbasis", "mod4", "quartic-c"):
             with pytest.raises(EngineDomainError):
@@ -67,6 +73,17 @@ class TestValues:
     def test_brute_series(self):
         series = compute_series("brute", 3)
         assert [v.as_tuple() for v in series] == [TRUTH[n] for n in range(4)]
+
+
+class TestMemory:
+    def test_coupled_value_holds_constant_vectors(self):
+        tracemalloc.start()
+        try:
+            compute_value("coupled", ClassLabel.D, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestValidation:
