@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import sys
 from itertools import islice
@@ -22,11 +21,11 @@ from .engines import (
     ENGINE_IDS,
     EngineDomainError,
     bench_engine,
-    compute_series,
     compute_value,
     decimal_digits,
     engine_info,
     run_validation,
+    series,
 )
 from .recurrence import decoupled_stream
 from .ring import NotRationalInteger
@@ -40,6 +39,8 @@ OEIS_SEQUENCES = {
     "A391469": ClassLabel.B,
     "A391470": ClassLabel.C,
 }
+
+TABLE_HEADER = ("n", "C_A", "C_B", "C_C", "C_D", "total")
 
 
 class UnknownSequence(ValueError):
@@ -63,22 +64,6 @@ def bfile_lines(sequence: str, max_n: int, offset: int = 1) -> list[str]:
     return [f"{n} {value}" for n, value in enumerate(values, offset)]
 
 
-def _table_rows(engine: str, max_n: int) -> list[dict[str, int]]:
-    series = compute_series(engine, max_n)
-    return [
-        {"n": v.n, "C_A": v.a, "C_B": v.b, "C_C": v.c, "C_D": v.d, "total": v.total}
-        for v in series
-    ]
-
-
-def _print_aligned(rows: list[dict[str, int]]) -> None:
-    headers = ["n", "C_A", "C_B", "C_C", "C_D", "total"]
-    widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) for h in headers}
-    print("  ".join(h.rjust(widths[h]) for h in headers))
-    for r in rows:
-        print("  ".join(str(r[h]).rjust(widths[h]) for h in headers))
-
-
 def _cmd_compute(args) -> int:
     value = compute_value(args.engine, ClassLabel(args.cls), args.n)
     print(value)
@@ -86,18 +71,22 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = _table_rows(args.engine, args.max_n)
+    # series() refuses a bad request on the call, before any output.
+    rows = ((v.n, v.a, v.b, v.c, v.d, v.total) for v in series(args.engine, args.max_n))
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "C_A", "C_B", "C_C", "C_D", "total"])
-        for r in rows:
-            writer.writerow([r["n"], r["C_A"], r["C_B"], r["C_C"], r["C_D"], r["total"]])
-        sys.stdout.write(out.getvalue())
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(TABLE_HEADER)
+        writer.writerows(rows)
     elif args.format == "json":
-        print(json.dumps({"engine": args.engine, "max_n": args.max_n, "rows": rows}, indent=2))
+        table = [dict(zip(TABLE_HEADER, r)) for r in rows]
+        json.dump({"engine": args.engine, "max_n": args.max_n, "rows": table}, sys.stdout, indent=2)
+        print()
     else:
-        _print_aligned(rows)
+        # Widths need every row; counts are nonnegative, so the widest cell is the largest.
+        rows = list(rows)
+        widths = [max(len(h), decimal_digits(max(column))) for h, column in zip(TABLE_HEADER, zip(*rows))]
+        for r in (TABLE_HEADER, *rows):
+            print("  ".join(str(cell).rjust(w) for cell, w in zip(r, widths)))
     return 0
 
 
@@ -118,11 +107,11 @@ def _cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _value_column(values: dict[ClassLabel, int]) -> str:
-    rendered = ",".join(f"{label.value}={v}" for label, v in sorted(values.items(), key=lambda kv: kv[0].value))
-    if len(rendered) <= 60:
-        return rendered
-    joined = ",".join(str(v) for _, v in sorted(values.items(), key=lambda kv: kv[0].value))
+def _value_column(rendered: dict[ClassLabel, str]) -> str:
+    labelled = ",".join(f"{label.value}={s}" for label, s in rendered.items())
+    if len(labelled) <= 60:
+        return labelled
+    joined = ",".join(rendered.values())
     return "blake2b:" + hashlib.blake2b(joined.encode(), digest_size=8).hexdigest()
 
 
@@ -135,8 +124,9 @@ def _cmd_bench(args) -> int:
     print(f"{'engine':<12} {'seconds':>10} {'digits':>8}  values")
     for engine in engines:
         elapsed, values = bench_engine(engine, args.max_n)
-        digits = sum(decimal_digits(v) for v in values.values())
-        print(f"{engine:<12} {elapsed:>10.4f} {digits:>8}  {_value_column(values)}")
+        rendered = {label: str(v) for label, v in values.items()}
+        digits = sum(map(len, rendered.values()))
+        print(f"{engine:<12} {elapsed:>10.4f} {digits:>8}  {_value_column(rendered)}")
     return 0
 
 

@@ -58,7 +58,7 @@ _DIRECT_SUM_RULES: dict[ClassLabel, tuple[int, tuple[int, int, int], int]] = {
 }
 
 # 3^15 words is a few seconds of enumeration; anything beyond is runaway.
-_BRUTE_FORCE_MAX_N = 5
+BRUTE_FORCE_MAX_N = 5
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,8 +147,8 @@ def brute_force_words(n: int) -> ClassVector:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > _BRUTE_FORCE_MAX_N:
-        raise TooLarge(f"n = {n} means 3^{3 * n} words; refusing beyond n = {_BRUTE_FORCE_MAX_N}")
+    if n > BRUTE_FORCE_MAX_N:
+        raise TooLarge(f"n = {n} means 3^{3 * n} words; refusing beyond n = {BRUTE_FORCE_MAX_N}")
     length = 3 * n
     digits = [0] * length
     c1, c2, c3 = length, 0, 0

@@ -20,7 +20,7 @@ from itertools import islice
 from typing import Callable, Iterator
 
 from .closedform import case_mod4, closed_form, root_basis
-from .counting import ClassLabel, ClassVector, brute_force_words, composition_sum
+from .counting import BRUTE_FORCE_MAX_N, ClassLabel, ClassVector, brute_force_words, composition_sum
 from .genfun import gf_for_class, gf_stream
 from .recurrence import (
     char_poly_check,
@@ -87,7 +87,7 @@ class EngineInfo:
 ENGINES: dict[str, EngineInfo] = {
     e.name: e
     for e in (
-        EngineInfo("brute", 0, 5, ALL_LABELS, "enumerate all 3^(3n) words",
+        EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS, "enumerate all 3^(3n) words",
                    _pointwise(lambda labels, n: _pick(brute_force_words(n), labels))),
         EngineInfo("compsum", 0, None, ALL_LABELS, "sum trinomials over all letter-count compositions",
                    _pointwise(lambda labels, n: _pick(composition_sum(n), labels)), check_max_n=300),
@@ -138,14 +138,22 @@ def compute_value(engine: str, label: ClassLabel, n: int) -> int:
     return next(info.rows((label,), n, n))[0]
 
 
-def compute_series(engine: str, max_n: int) -> list[ClassVector]:
-    """Class vectors for n = 0..max_n; only engines defined from n = 0 qualify."""
+def series(engine: str, max_n: int) -> Iterator[ClassVector]:
+    """Class vectors for n = 0..max_n, computed as read; only engines defined from n = 0 qualify.
+
+    The checks run on the call, so a refused request raises before any vector is read.
+    """
     if max_n < 0:
         raise EngineDomainError(f"max_n must be nonnegative, got {max_n}")
     info = _check_domain(engine, max_n)
     if info.min_n > 0 or info.labels != ALL_LABELS:
         raise EngineDomainError(f"engine {engine!r} cannot produce the full table from n = 0")
-    return [ClassVector(n, *row) for n, row in enumerate(info.rows(ALL_LABELS, 0, max_n))]
+    return (ClassVector(n, *row) for n, row in enumerate(info.rows(ALL_LABELS, 0, max_n)))
+
+
+def compute_series(engine: str, max_n: int) -> list[ClassVector]:
+    """Class vectors for n = 0..max_n, as a list; see series."""
+    return list(series(engine, max_n))
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from triwords.cli import OEIS_SEQUENCES, bfile_lines, main
-from triwords.engines import decimal_digits
+from triwords.engines import compute_series, decimal_digits
 from triwords.recurrence import coupled_sequence
 
 
@@ -115,6 +118,55 @@ class TestTable:
         assert code == 0
         bfile_c = [line.split()[1] for line in bfile_out.splitlines()]
         assert csv_c == bfile_c
+
+
+def _table_ints(fmt: str, out: str) -> list[list[int]]:
+    """The data rows of `table` output as integers, header dropped."""
+    if fmt == "json":
+        return [list(row.values()) for row in json.loads(out)["rows"]]
+    sep = "," if fmt == "csv" else None
+    return [[int(cell) for cell in line.split(sep)] for line in out.splitlines()[1:]]
+
+
+class TestTableFormats:
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("engine", ["coupled", "decoupled", "genfun"])
+    def test_every_row_matches_series(self, capsys, engine, fmt):
+        code, out, _ = run_cli(capsys, "table", "--max-n", "40", "--engine", engine, "--format", fmt)
+        assert code == 0
+        want = [[v.n, v.a, v.b, v.c, v.d, v.total] for v in compute_series(engine, 40)]
+        assert _table_ints(fmt, out) == want
+        if fmt == "table":
+            assert len({len(line) for line in out.splitlines()}) == 1
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--max-n", "3", "--engine", "closed"),
+            ("--max-n", "3", "--engine", "quartic-c"),
+            ("--max-n", "-1"),
+            ("--max-n", "6", "--engine", "brute"),
+        ],
+        ids=["closed", "quartic-c", "negative", "brute-cap"],
+    )
+    def test_refusal_writes_nothing(self, capsys, argv, fmt):
+        code, out, err = run_cli(capsys, "table", *argv, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_csv_streams_rows(self):
+        argv = ["table", "--max-n", "1000", "--engine", "coupled", "--format", "csv"]
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20
 
 
 class TestBfile:

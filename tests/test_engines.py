@@ -15,6 +15,7 @@ from triwords.engines import (
     compute_value,
     decimal_digits,
     run_validation,
+    series,
 )
 from truth_table import TRUTH
 
@@ -73,6 +74,24 @@ class TestValues:
     def test_brute_series(self):
         series = compute_series("brute", 3)
         assert [v.as_tuple() for v in series] == [TRUTH[n] for n in range(4)]
+
+
+class TestSeries:
+    @pytest.mark.parametrize("engine, max_n", [("closed", 3), ("quartic-c", 3), ("coupled", -1), ("brute", 6)])
+    def test_refuses_on_the_call(self, engine, max_n):
+        with pytest.raises(EngineDomainError):
+            series(engine, max_n)
+
+    def test_lazy_and_equal_to_list(self):
+        vectors = series("decoupled", 12)
+        assert not isinstance(vectors, list)
+        assert list(vectors) == compute_series("decoupled", 12)
+
+    def test_brute_cap_is_the_enumerators(self):
+        from triwords.counting import BRUTE_FORCE_MAX_N
+        from triwords.engines import ENGINES
+
+        assert ENGINES["brute"].max_n == BRUTE_FORCE_MAX_N
 
 
 class TestMemory:
