@@ -3,7 +3,8 @@
 Exit status is 0 on success, 1 when a validation check fails, 2 for
 usage errors (bad flags, out-of-domain requests), and 3 for internal
 errors (an engine produced a value that cannot be right, such as a
-closed form that does not evaluate to an integer).  All values print in
+closed form that does not evaluate to an integer, or was given a
+generating function it cannot expand).  All values print in
 full decimal so outputs can be diffed bit-for-bit.
 """
 
@@ -14,20 +15,20 @@ import csv
 import hashlib
 import json
 import sys
-from itertools import islice
+from typing import Iterator
 
 from .counting import ArityMismatch, ClassLabel, TooLarge
 from .engines import (
     ENGINE_IDS,
     EngineDomainError,
     bench_engine,
+    check_domain,
     compute_value,
     decimal_digits,
-    engine_info,
     run_validation,
     series,
 )
-from .recurrence import decoupled_stream
+from .genfun import NonUnitConstantTerm
 from .ring import NotRationalInteger
 
 USAGE_ERROR = 2
@@ -47,12 +48,13 @@ class UnknownSequence(ValueError):
     """Requested OEIS id is not one of the three emitted sequences."""
 
 
-def bfile_lines(sequence: str, max_n: int, offset: int = 1) -> list[str]:
-    """The "index value" lines of the b-file for one OEIS id.
+def _bfile_stream(sequence: str, max_n: int, offset: int = 1) -> Iterator[str]:
+    """The "index value" lines of the b-file for one OEIS id, computed as read.
 
     Values come from one pass of the class's decoupled recurrence; the
     index runs from `offset` (default 1, matching initial values that
-    start at n = 1) to max_n.
+    start at n = 1) to max_n.  The checks run on the call, so a refused
+    request raises before any line is read.
     """
     if sequence not in OEIS_SEQUENCES:
         raise UnknownSequence(f"unknown sequence {sequence!r}; known: {', '.join(OEIS_SEQUENCES)}")
@@ -60,8 +62,14 @@ def bfile_lines(sequence: str, max_n: int, offset: int = 1) -> list[str]:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     if offset < 0 or offset > max_n:
         raise ValueError(f"offset must be in 0..max_n, got {offset}")
-    values = islice(decoupled_stream(OEIS_SEQUENCES[sequence]), offset, max_n + 1)
-    return [f"{n} {value}" for n, value in enumerate(values, offset)]
+    label = OEIS_SEQUENCES[sequence]
+    values = check_domain("decoupled", max_n, label).rows((label,), offset, max_n)
+    return (f"{n} {value}" for n, (value,) in enumerate(values, offset))
+
+
+def bfile_lines(sequence: str, max_n: int, offset: int = 1) -> list[str]:
+    """The "index value" lines of the b-file for one OEIS id, as a list; see _bfile_stream."""
+    return list(_bfile_stream(sequence, max_n, offset))
 
 
 def _cmd_compute(args) -> int:
@@ -91,7 +99,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_bfile(args) -> int:
-    for line in bfile_lines(args.sequence, args.max_n, args.offset):
+    for line in _bfile_stream(args.sequence, args.max_n, args.offset):
         print(line)
     return 0
 
@@ -119,8 +127,9 @@ def _cmd_bench(args) -> int:
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     if not engines:
         raise EngineDomainError("no engines given")
+    # Refuse any engine that does not cover max_n before the first byte.
     for engine in engines:
-        engine_info(engine)
+        check_domain(engine, args.max_n)
     print(f"{'engine':<12} {'seconds':>10} {'digits':>8}  values")
     for engine in engines:
         elapsed, values = bench_engine(engine, args.max_n)
@@ -168,21 +177,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Values grow past CPython's default int-to-str conversion cap (4300
-    # digits) long before the engines slow down; printing in full decimal
-    # is part of the contract, so lift the cap for this process.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Values grow past CPython's default int-to-str conversion cap (4300
+    # digits) long before the engines slow down; printing in full decimal
+    # is part of the contract, so lift the cap while the command runs and
+    # leave it to the caller as it was.  Python 3.10 has no cap.
+    capped = hasattr(sys, "set_int_max_str_digits")
+    if capped:
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (NotRationalInteger, ArityMismatch) as exc:
+    except (NotRationalInteger, ArityMismatch, NonUnitConstantTerm) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
     except (EngineDomainError, UnknownSequence, TooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if capped:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

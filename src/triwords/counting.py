@@ -181,45 +181,34 @@ def brute_force_words(n: int) -> ClassVector:
 def composition_sum(n: int) -> ClassVector:
     """Class counts by summing trinomial(3n; n1, n2, n3) over all compositions.
 
-    O(n^2) compositions instead of 3^(3n) words, so this oracle reaches n in
-    the hundreds.  The trinomial is carried across the sweep by one exact
-    multiply/divide per step:
+    trinomial(N; n1, n2, n3) = C(N, n1) * C(m, n2) with m = N - n1, so each
+    row n1 needs only C(N, n1) and the row's binomial sums by residue of n2,
 
-        T(n1, 0)      = C(N, n1)
-        T(n1, n2 + 1) = T(n1, n2) * n3 / (n2 + 1)
+        S_r(m) = sum of C(m, n2) over n2 = r (mod 3).
+
+    The sweep walks n1 from N down to 0, so m rises from 0; C(N, n1) is
+    carried by one exact multiply/divide per row, and the sums by Pascal's
+    rule C(m+1, k) = C(m, k) + C(m, k-1):
+
+        S_r(m + 1) = S_r(m) + S_{r-1}(m),    S(0) = (1, 0, 0).
 
     Classification shortcut: with N = 0 (mod 3) and r1 = n1 mod 3, the
     residues satisfy r3 = -(r1 + r2) mod 3, so all three are equal exactly
     when r2 = r1 (then r3 = -2*r1 = r1 mod 3).  Each row therefore feeds
-    the single same-residue class given by r1, and every other column goes
-    to D.
+    C(N, n1) * S_{r1} to the single same-residue class given by r1, and
+    C(N, n1) times the other two sums to D.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     N = 3 * n
     tally = [0, 0, 0, 0]
-    row_start = 1  # C(N, 0)
-    for n1 in range(N + 1):
-        m = N - n1
+    row = 1  # C(N, n1), from n1 = N
+    s = (1, 0, 0)  # S_0, S_1, S_2 at m = 0
+    for m in range(N + 1):
+        n1 = N - m
         r1 = n1 % 3
-        t = row_start
-        same = 0
-        rest = 0
-        r2 = 0
-        for n2 in range(m):
-            if r2 == r1:
-                same += t
-            else:
-                rest += t
-            r2 += 1
-            if r2 == 3:
-                r2 = 0
-            t = t * (m - n2) // (n2 + 1)
-        if r2 == r1:  # last column, n2 = m
-            same += t
-        else:
-            rest += t
-        tally[r1] += same
-        tally[3] += rest
-        row_start = row_start * (N - n1) // (n1 + 1)
+        tally[r1] += row * s[r1]
+        tally[3] += row * (s[r1 - 1] + s[r1 - 2])  # the other two residues; the index wraps mod 3
+        row = row * n1 // (m + 1)
+        s = (s[0] + s[2], s[1] + s[0], s[2] + s[1])
     return ClassVector(n, tally[0], tally[1], tally[2], tally[3])

@@ -112,17 +112,15 @@ ENGINE_IDS = tuple(ENGINES)
 REFERENCE_ENGINE = "coupled"
 
 
-def engine_info(engine: str) -> EngineInfo:
-    """The registry entry of an engine; raises EngineDomainError for unknown names."""
+def check_domain(engine: str, n: int, label: ClassLabel | None = None) -> EngineInfo:
+    """The registry entry of an engine, checked to cover index n, and the class when one is given.
+
+    Raises EngineDomainError for an unknown name or an uncovered request.
+    """
     try:
-        return ENGINES[engine]
+        info = ENGINES[engine]
     except KeyError:
         raise EngineDomainError(f"unknown engine {engine!r}; known: {', '.join(ENGINE_IDS)}") from None
-
-
-def _check_domain(engine: str, n: int, label: ClassLabel | None = None) -> EngineInfo:
-    """Look the engine up and check it covers index n, and the class when one is given."""
-    info = engine_info(engine)
     if label is not None and label not in info.labels:
         raise EngineDomainError(f"engine {engine!r} only covers classes {[l.value for l in info.labels]}")
     if n < info.min_n:
@@ -134,7 +132,7 @@ def _check_domain(engine: str, n: int, label: ClassLabel | None = None) -> Engin
 
 def compute_value(engine: str, label: ClassLabel, n: int) -> int:
     """One class count by one engine; raises EngineDomainError when out of range."""
-    info = _check_domain(engine, n, label)
+    info = check_domain(engine, n, label)
     return next(info.rows((label,), n, n))[0]
 
 
@@ -145,7 +143,7 @@ def series(engine: str, max_n: int) -> Iterator[ClassVector]:
     """
     if max_n < 0:
         raise EngineDomainError(f"max_n must be nonnegative, got {max_n}")
-    info = _check_domain(engine, max_n)
+    info = check_domain(engine, max_n)
     if info.min_n > 0 or info.labels != ALL_LABELS:
         raise EngineDomainError(f"engine {engine!r} cannot produce the full table from n = 0")
     return (ClassVector(n, *row) for n, row in enumerate(info.rows(ALL_LABELS, 0, max_n)))
@@ -220,7 +218,7 @@ def run_validation(max_n: int) -> list[CheckResult]:
 
 def bench_engine(engine: str, n: int) -> tuple[float, dict[ClassLabel, int]]:
     """Wall-clock time and values for computing every supported class at n, in one pass."""
-    info = _check_domain(engine, n)
+    info = check_domain(engine, n)
     start = time.perf_counter()
     row = next(info.rows(info.labels, n, n))
     elapsed = time.perf_counter() - start

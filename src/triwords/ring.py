@@ -2,7 +2,10 @@
 
 Elements are stored in the basis (1, sqrt3, i, i*sqrt3) with rational
 coordinates, so every element has exactly one representation and equality
-is coordinate equality.  The multiplication table is
+is coordinate equality.  A coordinate is an int or a Fraction, kept as
+given; Python makes 3 == Fraction(3) with equal hashes, so equal values
+compare and hash equal whichever type they hold, and integer work (the
+powers of 3*sqrt3*i, say) stays in plain ints.  The multiplication table is
 
     sqrt3 * sqrt3 = 3          i * i = -1
     sqrt3 * i     = i*sqrt3    (i*sqrt3) * (i*sqrt3) = -3
@@ -26,26 +29,14 @@ class NotRationalInteger(ValueError):
 RationalLike = int | Fraction
 
 
-def _frac(value: RationalLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 @dataclass(frozen=True, slots=True)
 class AlgebraicQ3i:
-    """An element a + b*sqrt3 + c*i + d*i*sqrt3 with Fraction coordinates."""
+    """An element a + b*sqrt3 + c*i + d*i*sqrt3 with int or Fraction coordinates."""
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-    c: Fraction = Fraction(0)
-    d: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        # Fractions normalise themselves (reduced, positive denominator);
-        # coerce ints so callers can write AlgebraicQ3i(1, 0, 0, 3).
-        for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
+    a: RationalLike = 0
+    b: RationalLike = 0
+    c: RationalLike = 0
+    d: RationalLike = 0
 
     def __add__(self, other: AlgebraicQ3i | RationalLike) -> AlgebraicQ3i:
         o = _promote(other)
@@ -103,9 +94,6 @@ class AlgebraicQ3i:
         """Complex conjugate: i -> -i, i.e. (a, b, c, d) -> (a, b, -c, -d)."""
         return AlgebraicQ3i(self.a, self.b, -self.c, -self.d)
 
-    def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
-
     def to_integer(self) -> int:
         """Convert to a plain int, or raise NotRationalInteger.
 
@@ -132,7 +120,7 @@ def _promote(value: AlgebraicQ3i | RationalLike) -> AlgebraicQ3i | None:
     if isinstance(value, AlgebraicQ3i):
         return value
     if isinstance(value, (int, Fraction)):
-        return AlgebraicQ3i(_frac(value))
+        return AlgebraicQ3i(value)
     return None
 
 

@@ -60,6 +60,28 @@ class TestCompute:
         assert out == ""
         assert err == "internal error: simulated non-integer closed form\n"
 
+    def test_non_unit_generating_function_is_internal_error(self, capsys, monkeypatch):
+        from triwords.genfun import RationalGF
+
+        monkeypatch.setattr("triwords.engines.gf_for_class", lambda label: RationalGF((1,), (2, -1)))
+        code, out, err = run_cli(capsys, "compute", "--class", "A", "--n", "3", "--engine", "genfun")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str cap before 3.11")
+    def test_int_str_cap_is_restored(self, capsys):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            code, out, _ = run_cli(capsys, "compute", "--class", "D", "--n", "5000")
+            cap = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert code == 0
+        assert len(out.strip()) > 5000
+        assert cap == 5000
+
     def test_brute_cap_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--class", "A", "--n", "9", "--engine", "brute")
         assert code == 2
@@ -215,6 +237,18 @@ class TestBfile:
         assert code == 2
         assert "max_n" in err
 
+    def test_streams_lines(self):
+        argv = ["bfile", "A391470", "--max-n", "2000"]
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20
+
 
 class TestValidate:
     def test_passes(self, capsys):
@@ -268,6 +302,13 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--max-n", "5", "--engines", "coupled,warp")
         assert code == 2
         assert "warp" in err
+
+    @pytest.mark.parametrize("max_n, engines", [("12", "coupled,brute"), ("0", "coupled,closed")])
+    def test_domain_refusal_writes_nothing(self, capsys, max_n, engines):
+        code, out, err = run_cli(capsys, "bench", "--max-n", max_n, "--engines", engines)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 def test_console_entry_point_subprocess():

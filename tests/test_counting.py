@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triwords.closedform import case_mod4
 from triwords.counting import (
     ArityMismatch,
     ClassLabel,
@@ -172,6 +173,16 @@ class TestCompositionSum:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 25, 40])
     def test_total_is_27_to_n(self, n):
         assert composition_sum(n).total == 27**n
+
+    @pytest.mark.parametrize("n", [50, 97, 150])
+    def test_matches_direct_sum(self, n):
+        v = composition_sum(n)
+        assert [v.component(label) for label in ClassLabel] == [direct_sum(label, n) for label in ClassLabel]
+
+    def test_matches_mod4_closed_form_at_1000(self):
+        v = composition_sum(1000)
+        assert v.as_tuple() == tuple(case_mod4(label, 1000) for label in ClassLabel)
+        assert v.total == 27**1000
 
 
 class TestClassVector:

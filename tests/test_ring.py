@@ -123,6 +123,15 @@ class TestToInteger:
     def test_plain_integer(self):
         assert q(63).to_integer() == 63
 
+    def test_int_and_fraction_coordinates_are_one_value(self):
+        x, twin = AlgebraicQ3i(1, 0, 0, 3), q(1, 0, 0, 3)
+        assert x == twin
+        assert hash(x) == hash(twin)
+        for y in (x, twin):
+            value = (y * y.conjugate()).to_integer()
+            assert type(value) is int
+            assert value == 28
+
     def test_non_integer_rational_rejected(self):
         with pytest.raises(NotRationalInteger):
             q(Fraction(7, 9)).to_integer()
