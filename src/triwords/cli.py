@@ -3,9 +3,9 @@
 Exit status is 0 on success, 1 when a validation check fails, 2 for
 usage errors (bad flags, out-of-domain requests), and 3 for internal
 errors (an engine produced a value that cannot be right, such as a
-closed form that does not evaluate to an integer, or was given a
-generating function it cannot expand).  All values print in
-full decimal so outputs can be diffed bit-for-bit.
+closed form that is not an integer or letter counts not summing to a
+multiple of three, or was given a generating function it cannot
+expand).  All values print in full decimal, so outputs diff bit for bit.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ import json
 import sys
 from typing import Iterator
 
-from .counting import ArityMismatch, ClassLabel, TooLarge
+from .counting import ArityMismatch, ClassLabel, NotDivisibleBy3, TooLarge
+from .digits import decimal_digits
 from .engines import (
     ENGINE_IDS,
     EngineDomainError,
     bench_engine,
     check_domain,
     compute_value,
-    decimal_digits,
     run_validation,
     series,
 )
@@ -189,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (NotRationalInteger, ArityMismatch, NonUnitConstantTerm) as exc:
+    except (NotRationalInteger, ArityMismatch, NotDivisibleBy3, NonUnitConstantTerm) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
     except (EngineDomainError, UnknownSequence, TooLarge, ValueError) as exc:

@@ -21,6 +21,7 @@ from typing import Callable, Iterator
 
 from .closedform import case_mod4, closed_form, root_basis
 from .counting import BRUTE_FORCE_MAX_N, ClassLabel, ClassVector, brute_force_words, composition_sum
+from .digits import FULL_DIGITS, decimal_digits
 from .genfun import gf_for_class, gf_stream
 from .recurrence import (
     char_poly_check,
@@ -31,19 +32,6 @@ from .recurrence import (
 )
 
 ALL_LABELS = (ClassLabel.A, ClassLabel.B, ClassLabel.C, ClassLabel.D)
-
-
-def decimal_digits(n: int) -> int:
-    """Decimal digit count of |n| without str(), which CPython caps by default.
-
-    The bit length bounds floor(log10 n) within one, and a single big-power
-    comparison settles which side we are on.
-    """
-    n = abs(n)
-    if n == 0:
-        return 1
-    candidate = max(1, (n.bit_length() * 30103) // 100000)
-    return candidate if n < 10**candidate else candidate + 1
 
 
 class EngineDomainError(ValueError):
@@ -167,9 +155,8 @@ def _agreement(name: str, reference: list[ClassVector], info: EngineInfo, lo: in
         for label, got in zip(info.labels, row):
             want = reference[n].component(label)
             if got != want:
-                if decimal_digits(got) <= 40 and decimal_digits(want) <= 40:
-                    return CheckResult(name, False, f"mismatch at n={n} class {label.value}: {got} != {want}")
-                return CheckResult(name, False, f"mismatch at n={n} class {label.value}")
+                shown = f": {got} != {want}" if max(decimal_digits(got), decimal_digits(want)) <= FULL_DIGITS else ""
+                return CheckResult(name, False, f"mismatch at n={n} class {label.value}{shown}")
     return CheckResult(name, True, f"n = {lo}..{hi}")
 
 

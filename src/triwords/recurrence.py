@@ -33,6 +33,7 @@ from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .counting import ClassLabel, ClassVector
+from .digits import brief
 from .genfun import poly_mul
 
 # Row order A, B, C, D; row dot (A, B, C, D) at n-1 gives the count at n.
@@ -68,7 +69,7 @@ class IdentityViolation(Exception):
         self.name = name
         self.n = n
         self.residual = residual
-        super().__init__(f"identity {name!r} fails at n = {n} (residual {residual})")
+        super().__init__(f"identity {name!r} fails at n = {n} (residual {brief(residual)})")
 
 
 def coupled_step(v: ClassVector) -> ClassVector:
@@ -269,7 +270,6 @@ class IdentityResult:
 
 @dataclass(frozen=True, slots=True)
 class IdentityReport:
-    max_n: int
     results: tuple[IdentityResult, ...]
 
     @property
@@ -309,4 +309,4 @@ def identity_suite(N: int, sequence: Sequence[ClassVector] | None = None, strict
                 first_failure = n
                 break
         results.append(IdentityResult(name, relation, checked, first_failure))
-    return IdentityReport(N, tuple(results))
+    return IdentityReport(tuple(results))

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .digits import brief
+
 
 class NotRationalInteger(ValueError):
     """Raised when an element expected to be a plain integer is not one."""
@@ -109,10 +111,8 @@ class AlgebraicQ3i:
         return self.a.numerator
 
     def __str__(self) -> str:
-        parts = []
-        for coord, symbol in ((self.a, ""), (self.b, "*sqrt3"), (self.c, "*i"), (self.d, "*i*sqrt3")):
-            if coord:
-                parts.append(f"{coord}{symbol}")
+        terms = ((self.a, ""), (self.b, "*sqrt3"), (self.c, "*i"), (self.d, "*i*sqrt3"))
+        parts = [f"{brief(coord)}{symbol}" for coord, symbol in terms if coord]
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 

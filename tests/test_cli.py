@@ -69,6 +69,18 @@ class TestCompute:
         assert out == ""
         assert err.startswith("internal error: ")
 
+    def test_unclassifiable_counts_are_internal_error(self, capsys, monkeypatch):
+        from triwords.counting import NotDivisibleBy3
+
+        def broken(counts):
+            raise NotDivisibleBy3(f"simulated misdecoded letter counts {counts}")
+
+        monkeypatch.setattr("triwords.counting.classify", broken)
+        code, out, err = run_cli(capsys, "compute", "--engine", "brute", "--class", "A", "--n", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: simulated misdecoded letter counts")
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str cap before 3.11")
     def test_int_str_cap_is_restored(self, capsys):
         previous = sys.get_int_max_str_digits()

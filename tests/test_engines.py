@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from triwords.counting import ClassLabel
+from triwords.digits import brief
 from triwords.engines import (
     ENGINE_IDS,
     EngineDomainError,
@@ -146,3 +147,12 @@ class TestDecimalDigits:
         assert decimal_digits(10**20000) == 20001
         assert decimal_digits(10**20000 - 1) == 20000
         assert decimal_digits(7 * 10**14312) == 14313
+
+
+class TestBrief:
+    @pytest.mark.parametrize(
+        "value,expect",
+        [(0, "0"), (-7, "-7"), (10**40 - 1, "9" * 40), (10**40, "<41 digits>"), (-(10**40), "-<41 digits>")],
+    )
+    def test_full_up_to_forty_digits_then_size(self, value, expect):
+        assert brief(value) == expect

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from triwords.counting import ClassLabel, ClassVector, composition_sum
@@ -185,6 +187,14 @@ class TestIdentitySuite:
             identity_suite(6, sequence=bad)
         assert err.value.n is not None
         assert err.value.name
+
+    def test_huge_residual_is_reported_under_default_int_str_cap(self, default_int_str_cap):
+        bad = coupled_sequence(3100)
+        bad[3050] = replace(bad[3050], b=0)
+        with pytest.raises(IdentityViolation) as err:
+            identity_suite(3100, sequence=bad)
+        assert (err.value.name, err.value.n) == ("d-prev-from-ab", 3050)
+        assert "(residual -<4365 digits>)" in str(err.value)
 
     def test_corrupted_sequence_reported_when_not_strict(self):
         seq = coupled_sequence(6)

@@ -136,6 +136,14 @@ class TestToInteger:
         with pytest.raises(NotRationalInteger):
             q(Fraction(7, 9)).to_integer()
 
+    def test_huge_coordinate_is_reported_under_default_int_str_cap(self, default_int_str_cap):
+        with pytest.raises(NotRationalInteger, match=r"^<5001 digits> \+ 1\*sqrt3 has irrational"):
+            AlgebraicQ3i(10**5000, 1).to_integer()
+
+    def test_str_shows_long_numerators_and_denominators_by_size(self):
+        assert str(q(Fraction(-3, 2), 2)) == "-3/2 + 2*sqrt3"
+        assert str(q(10**40, Fraction(-1, 10**41))) == "<41 digits> - 1/<42 digits>*sqrt3"
+
     def test_imaginary_part_rejected(self):
         with pytest.raises(NotRationalInteger):
             I.to_integer()
