@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Iterator
 
-from .counting import ArityMismatch, ClassLabel, NotDivisibleBy3, TooLarge
+from .counting import ArityMismatch, ClassLabel, NotDivisibleBy3
 from .digits import decimal_digits
 from .engines import (
     ENGINE_IDS,
@@ -192,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotRationalInteger, ArityMismatch, NotDivisibleBy3, NonUnitConstantTerm) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-    except (EngineDomainError, UnknownSequence, TooLarge, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     finally:

@@ -63,7 +63,6 @@ class EngineInfo:
     min_n: int
     max_n: int | None
     labels: tuple[ClassLabel, ...]
-    description: str
     rows: Rows
     # validation stops here even where the engine itself goes further
     check_max_n: int | None = None
@@ -75,23 +74,23 @@ class EngineInfo:
 ENGINES: dict[str, EngineInfo] = {
     e.name: e
     for e in (
-        EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS, "enumerate all 3^(3n) words",
+        EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS,
                    _pointwise(lambda labels, n: _pick(brute_force_words(n), labels))),
-        EngineInfo("compsum", 0, None, ALL_LABELS, "sum trinomials over all letter-count compositions",
+        EngineInfo("compsum", 0, None, ALL_LABELS,
                    _pointwise(lambda labels, n: _pick(composition_sum(n), labels)), check_max_n=300),
-        EngineInfo("coupled", 0, None, ALL_LABELS, "iterate the coupled 4x4 recurrence",
+        EngineInfo("coupled", 0, None, ALL_LABELS,
                    lambda labels, lo, hi: (_pick(v, labels) for v in islice(coupled_stream(), lo, hi + 1))),
-        EngineInfo("decoupled", 0, None, ALL_LABELS, "per-class decoupled recurrences (default)",
+        EngineInfo("decoupled", 0, None, ALL_LABELS,
                    _streamed(lambda labels: zip(*map(decoupled_stream, labels)))),
-        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), "fourth-order recurrence, class C only",
+        EngineInfo("quartic-c", 0, None, (ClassLabel.C,),
                    _streamed(lambda labels: zip(quartic_c_stream()))),
-        EngineInfo("closed", 1, None, ALL_LABELS, "closed form with oscillating term, exact ring arithmetic",
+        EngineInfo("closed", 1, None, ALL_LABELS,
                    _pointwise(lambda labels, n: tuple(closed_form(label, n) for label in labels))),
-        EngineInfo("rootbasis", 1, None, ALL_LABELS, "rational combination of characteristic-root powers",
+        EngineInfo("rootbasis", 1, None, ALL_LABELS,
                    _pointwise(lambda labels, n: tuple(root_basis(label, n) for label in labels))),
-        EngineInfo("mod4", 1, None, ALL_LABELS, "radical-free closed form branched on n mod 4",
+        EngineInfo("mod4", 1, None, ALL_LABELS,
                    _pointwise(lambda labels, n: tuple(case_mod4(label, n) for label in labels))),
-        EngineInfo("genfun", 0, None, ALL_LABELS, "coefficient extraction from the generating functions",
+        EngineInfo("genfun", 0, None, ALL_LABELS,
                    _streamed(lambda labels: zip(*(gf_stream(gf_for_class(label)) for label in labels)))),
     )
 }

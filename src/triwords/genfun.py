@@ -66,16 +66,6 @@ class RationalGF:
             raise ValueError("denominator must have a nonzero constant term")
 
 
-def _normalized(numerator, denominator) -> RationalGF:
-    # Flip both signs when the denominator's constant term is negative, so
-    # the two factor orderings (27x - 1) vs (1 - 27x) store identically.
-    num, den = poly_trim(numerator), poly_trim(denominator)
-    if den and den[0] < 0:
-        num = tuple(-c for c in num)
-        den = tuple(-c for c in den)
-    return RationalGF(num, den)
-
-
 # Numerators and denominators kept in factored form; expansion and sign
 # normalisation happen below.
 _GF_FACTORS: dict[ClassLabel, tuple[IntPolynomial, tuple[IntPolynomial, ...]]] = {
@@ -92,7 +82,12 @@ def gf_for_class(label: ClassLabel) -> RationalGF:
     denominator: IntPolynomial = (1,)
     for factor in factors:
         denominator = poly_mul(denominator, factor)
-    return _normalized(numerator, denominator)
+    # Flip both signs when the denominator's constant term is negative, so
+    # the two factor orderings (27x - 1) vs (1 - 27x) store identically.
+    if denominator[0] < 0:
+        numerator = tuple(-c for c in numerator)
+        denominator = tuple(-c for c in denominator)
+    return RationalGF(numerator, denominator)
 
 
 def gf_stream(gf: RationalGF) -> Iterator[int]:

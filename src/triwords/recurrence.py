@@ -20,21 +20,25 @@ polynomial factors as (x + 1) times the one above; the extra root -1 is
 spurious (it cannot match the initial values), which is how the shared
 third-order recurrence is identified in the first place.
 
-This module writes each recurrence once, as a generator of its values
-from n = 0 (the engines take the first N + 1 items or item n), and adds a
-numeric identity suite for every intermediate elimination identity, all
-in exact integer arithmetic.
+This module writes each recurrence once, as its seed values and one step
+over a window of the latest values; a single runner, _recurrence, iterates
+them all into streams from n = 0 (the engines take the first N + 1 items or
+item n).  It also adds a numeric identity suite for every intermediate
+elimination identity, all in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .counting import ClassLabel, ClassVector
 from .digits import brief
 from .genfun import poly_mul
+
+T = TypeVar("T")
 
 # Row order A, B, C, D; row dot (A, B, C, D) at n-1 gives the count at n.
 # Every column sums to 27: three added letters scale the total by 27.
@@ -85,36 +89,26 @@ def coupled_step(v: ClassVector) -> ClassVector:
     )
 
 
+def _recurrence(seeds: Sequence[T], step: Callable[[deque[T]], T]) -> Iterator[T]:
+    """Yield the seeds, then step(window) forever; window holds the last len(seeds) values."""
+    yield from seeds
+    window = deque(seeds, maxlen=len(seeds))
+    while True:
+        x = step(window)
+        window.append(x)
+        yield x
+
+
 def coupled_stream() -> Iterator[ClassVector]:
     """Class vectors for n = 0, 1, 2, ..., iterated from the seed (1, 0, 0, 0)."""
-    v = ClassVector(0, 1, 0, 0, 0)
-    while True:
-        yield v
-        v = coupled_step(v)
-
-
-def third_order_stream(label: ClassLabel) -> Iterator[int]:
-    """C_label(n) for n = 0, 1, 2, ... by the shared third-order recurrence (A, B, C)."""
-    seeds = THIRD_ORDER_SEEDS[label]
-    yield from seeds
-    x3, x2, x1 = seeds[1:]
-    while True:
-        x3, x2, x1 = x2, x1, 27 * (x1 - x2 + 27 * x3)
-        yield x1
-
-
-def d_stream() -> Iterator[int]:
-    """C_D(n) for n = 0, 1, 2, ...: D(0) = 0, D(1) = 18 and D(n) = 27*D(n-1)."""
-    yield 0
-    x = 18
-    while True:
-        yield x
-        x *= 27
+    return _recurrence((ClassVector(0, 1, 0, 0, 0),), lambda w: coupled_step(w[-1]))
 
 
 def decoupled_stream(label: ClassLabel) -> Iterator[int]:
-    """The stream of a class by its own decoupled recurrence."""
-    return d_stream() if label is ClassLabel.D else third_order_stream(label)
+    """C_label(n) for n = 0, 1, 2, ... by the class's own decoupled recurrence."""
+    if label is ClassLabel.D:
+        return _recurrence((0, 18), lambda w: 27 * w[-1])
+    return _recurrence(THIRD_ORDER_SEEDS[label], lambda w: 27 * (w[-1] - w[-2] + 27 * w[-3]))
 
 
 def quartic_c_stream() -> Iterator[int]:
@@ -123,15 +117,13 @@ def quartic_c_stream() -> Iterator[int]:
     x(n) = 26*x(n-1) + 702*x(n-3) + 729*x(n-4), applied for n >= 5 on top
     of the seed values C(0..4) (see QUARTIC_SEEDS for why five seeds).
     """
-    yield from QUARTIC_SEEDS
-    x4, x3, x2, x1 = QUARTIC_SEEDS[1:]
-    while True:
-        x4, x3, x2, x1 = x3, x2, x1, 26 * x1 + 702 * x3 + 729 * x4
-        yield x1
+    return _recurrence(QUARTIC_SEEDS, lambda w: 26 * w[-1] + 702 * w[-3] + 729 * w[-4])
 
 
 def _nth(stream: Iterator[int], n: int) -> int:
     """Item n of a stream, advancing it no further."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     return next(islice(stream, n, None))
 
 
@@ -146,22 +138,16 @@ def decoupled_third_order(label: ClassLabel, n: int) -> int:
     """Class count via the shared third-order recurrence (classes A, B, C)."""
     if label not in THIRD_ORDER_SEEDS:
         raise ValueError("third-order engine covers classes A, B, C; use decoupled_d for D")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return _nth(third_order_stream(label), n)
+    return _nth(decoupled_stream(label), n)
 
 
 def decoupled_d(n: int) -> int:
     """Class count for D: D(n) = 27*D(n-1) with D(1) = 18, and D(0) = 0."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return _nth(d_stream(), n)
+    return _nth(decoupled_stream(ClassLabel.D), n)
 
 
 def quartic_c(n: int) -> int:
     """Class count for C via its fourth-order recurrence (see quartic_c_stream)."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     return _nth(quartic_c_stream(), n)
 
 

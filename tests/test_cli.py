@@ -8,12 +8,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from triwords.cli import OEIS_SEQUENCES, bfile_lines, main
 from triwords.engines import compute_series, decimal_digits
 from triwords.recurrence import coupled_sequence
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -328,6 +331,7 @@ def test_console_entry_point_subprocess():
         [sys.executable, "-m", "triwords", "bfile", "A391468", "--max-n", "4"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 3\n2 63\n3 2187\n4 59535\n"

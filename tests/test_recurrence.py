@@ -141,6 +141,18 @@ class TestQuarticC:
         assert quartic_c(n) == TRUTH[n][2]
 
 
+@pytest.mark.parametrize(
+    "point",
+    [lambda n: decoupled_third_order(ClassLabel.A, n), decoupled_d, quartic_c],
+    ids=["third-order", "d", "quartic-c"],
+)
+def test_point_wrappers_reject_negative_n(point):
+    # islice raises a ValueError of its own for a negative index, so the
+    # message is matched to show the wrappers' own check fired
+    with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+        point(-1)
+
+
 class TestCharPoly:
     def test_factorization(self):
         assert char_poly_check() is True
