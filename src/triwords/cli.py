@@ -1,11 +1,14 @@
 """Command-line interface: compute, table, bfile, validate, bench.
 
 Exit status is 0 on success, 1 when a validation check fails, 2 for
-usage errors (bad flags, out-of-domain requests), and 3 for internal
+usage errors (bad flags, out-of-domain requests), 3 for internal
 errors (an engine produced a value that cannot be right, such as a
 closed form that is not an integer or letter counts not summing to a
 multiple of three, or was given a generating function it cannot
-expand).  All values print in full decimal, so outputs diff bit for bit.
+expand), and 141 (128 + SIGPIPE, as a shell reports a process killed by
+that signal) when the reader of stdout closes it early, as `| head` does;
+that exit prints nothing.  All values print in full decimal through
+`digits.to_decimal`, so outputs diff bit for bit.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from typing import Iterator
 
 from .counting import ArityMismatch, ClassLabel, NotDivisibleBy3
-from .digits import decimal_digits
+from .digits import decimal_digits, to_decimal
 from .engines import (
     ENGINE_IDS,
     EngineDomainError,
@@ -33,6 +37,7 @@ from .ring import NotRationalInteger
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+BROKEN_PIPE = 141
 
 # OEIS b-files are emitted for these entries (classes A, B, C in order).
 OEIS_SEQUENCES = {
@@ -64,7 +69,7 @@ def _bfile_stream(sequence: str, max_n: int, offset: int = 1) -> Iterator[str]:
         raise ValueError(f"offset must be in 0..max_n, got {offset}")
     label = OEIS_SEQUENCES[sequence]
     values = check_domain("decoupled", max_n, label).rows((label,), offset, max_n)
-    return (f"{n} {value}" for n, (value,) in enumerate(values, offset))
+    return (f"{n} {to_decimal(value)}" for n, (value,) in enumerate(values, offset))
 
 
 def bfile_lines(sequence: str, max_n: int, offset: int = 1) -> list[str]:
@@ -74,7 +79,7 @@ def bfile_lines(sequence: str, max_n: int, offset: int = 1) -> list[str]:
 
 def _cmd_compute(args) -> int:
     value = compute_value(args.engine, ClassLabel(args.cls), args.n)
-    print(value)
+    print(to_decimal(value))
     return 0
 
 
@@ -84,7 +89,7 @@ def _cmd_table(args) -> int:
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(TABLE_HEADER)
-        writer.writerows(rows)
+        writer.writerows(map(to_decimal, r) for r in rows)
     elif args.format == "json":
         table = [dict(zip(TABLE_HEADER, r)) for r in rows]
         json.dump({"engine": args.engine, "max_n": args.max_n, "rows": table}, sys.stdout, indent=2)
@@ -93,8 +98,9 @@ def _cmd_table(args) -> int:
         # Widths need every row; counts are nonnegative, so the widest cell is the largest.
         rows = list(rows)
         widths = [max(len(h), decimal_digits(max(column))) for h, column in zip(TABLE_HEADER, zip(*rows))]
-        for r in (TABLE_HEADER, *rows):
-            print("  ".join(str(cell).rjust(w) for cell, w in zip(r, widths)))
+        print("  ".join(h.rjust(w) for h, w in zip(TABLE_HEADER, widths)))
+        for r in rows:
+            print("  ".join(to_decimal(cell).rjust(w) for cell, w in zip(r, widths)))
     return 0
 
 
@@ -133,7 +139,7 @@ def _cmd_bench(args) -> int:
     print(f"{'engine':<12} {'seconds':>10} {'digits':>8}  values")
     for engine in engines:
         elapsed, values = bench_engine(engine, args.max_n)
-        rendered = {label: str(v) for label, v in values.items()}
+        rendered = {label: to_decimal(v) for label, v in values.items()}
         digits = sum(map(len, rendered.values()))
         print(f"{engine:<12} {elapsed:>10.4f} {digits:>8}  {_value_column(rendered)}")
     return 0
@@ -188,7 +194,18 @@ def main(argv: list[str] | None = None) -> int:
         cap = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flushed here, so that a reader gone early is caught below and not
+        # in the interpreter's own flush at exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Point stdout at the null device, so the exit flush of what is
+        # still buffered cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except (NotRationalInteger, ArityMismatch, NotDivisibleBy3, NonUnitConstantTerm) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -1,8 +1,76 @@
-"""Decimal size and short text of big numbers, free of CPython's int-to-str cap."""
+"""Decimal text of big integers: full renderings, digit counts and short forms.
+
+`to_decimal` is the package's one renderer of integers in full.  CPython's
+`str(int)` takes time quadratic in the digit count before 3.12, and the
+paper's counts have about 1.43·n digits, so a value at n = 3·10⁵ spends
+seconds in `str()` after milliseconds of arithmetic.  Past a measured
+crossover `to_decimal` converts by divide and conquer over the bits,
+evaluated in stdlib `decimal` (libmpdec), whose large products are
+sub-quadratic: the method of CPython 3.12's `Lib/_pylong.py` (gh-90716).
+Nothing here calls `str()` on an int past the crossover, so the result
+does not depend on CPython's int-to-str cap either.
+"""
 
 from numbers import Rational
 
 FULL_DIGITS = 40  # message text shows an integer up to this long in full, a longer one by its size
+
+# Up to STR_BITS bits plain str() is the faster route.  Medians of 27 runs
+# on random values, 2-vCPU box, CPython 3.11.7: str() wins at 20,000 bits
+# (0.65 vs 0.78 ms) and 32,000 (1.6 vs 1.8 ms); `decimal` wins from 32,500
+# (1.4 vs 1.7 ms; its time drops there by a quarter), at 40,000 (1.9 vs
+# 2.4 ms) and at 100,000 (7.2 vs 15.2 ms).
+STR_BITS = 32_500
+# The split stops at pieces this short; Decimal(int) converts them directly.
+LEAF_BITS = 3000
+
+
+def to_decimal(n: int) -> str:
+    """str(n), byte for byte, in sub-quadratic time for large n.
+
+    Up to STR_BITS bits this is str(n).  Past it, n = hi·2^h + lo with
+    h = w // 2 for a w-bit n, recursively, down to pieces of at most
+    LEAF_BITS bits; the pieces and the powers 2^h (each computed once) are
+    recombined as hi·2^h + lo in `decimal`.  The context is exact: the
+    precision and exponent range are the largest `decimal` has and the
+    Inexact trap is set, so any rounding would raise instead of changing a
+    digit.  Every operand is an integer with exponent 0, so the result's
+    string has no exponent and no trailing-zero form.
+    """
+    if n.bit_length() <= STR_BITS:
+        return str(n)
+    # Imported here: only values past the crossover pay for it, not start-up.
+    import decimal
+
+    two = decimal.Decimal(2)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        """2**w as a Decimal, cached; each large one is a product of two halves."""
+        result = powers.get(w)
+        if result is None:
+            if w <= LEAF_BITS:
+                result = two**w
+            else:
+                result = power(w >> 1) * power(w - (w >> 1))
+            powers[w] = result
+        return result
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        """m, a nonnegative int below 2**w, as a Decimal."""
+        if w <= LEAF_BITS:
+            return decimal.Decimal(m)
+        h = w >> 1
+        hi = m >> h
+        return convert(hi, w - h) * power(h) + convert(m - (hi << h), h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
 
 
 def decimal_digits(n: int) -> int:

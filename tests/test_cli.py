@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from triwords.cli import OEIS_SEQUENCES, bfile_lines, main
-from triwords.engines import compute_series, decimal_digits
+from triwords.cli import BROKEN_PIPE, OEIS_SEQUENCES, bfile_lines, main
+from triwords.counting import ClassLabel
+from triwords.engines import compute_series, compute_value, decimal_digits
 from triwords.recurrence import coupled_sequence
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -109,6 +110,14 @@ class TestCompute:
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("engine", ["mod4", "closed", "rootbasis"])
+    def test_large_values_print_as_str(self, capsys, engine):
+        # At n = 60000 every class has about 2.8*10**5 bits, past the size
+        # where to_decimal leaves str() for decimal.
+        for label in ClassLabel:
+            result = run_cli(capsys, "compute", "--engine", engine, "--class", label.value, "--n", "60000")
+            assert result == (0, str(compute_value(engine, label, 60000)) + "\n", ""), label
 
     def test_huge_value_prints_in_full(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--class", "D", "--n", "3200")
@@ -335,3 +344,29 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 3\n2 63\n3 2187\n4 59535\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bfile", "A391470", "--max-n", "3000"],
+        ["table", "--engine", "coupled", "--max-n", "2000", "--format", "csv"],
+        # Small enough to stay in stdout's buffer until the command ends.
+        ["compute", "--class", "A", "--n", "300"],
+    ],
+    ids=["bfile", "table-csv", "compute"],
+)
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    # The read end is closed before the command starts, as by a `| head`
+    # that has already exited, so every write to stdout fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "triwords", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (BROKEN_PIPE, b"")

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import random
 import tracemalloc
 
 import pytest
 
 from triwords.counting import ClassLabel
-from triwords.digits import brief
+from triwords.digits import LEAF_BITS, STR_BITS, brief, to_decimal
 from triwords.engines import (
     ENGINE_IDS,
     EngineDomainError,
@@ -156,3 +158,48 @@ class TestBrief:
     )
     def test_full_up_to_forty_digits_then_size(self, value, expect):
         assert brief(value) == expect
+
+
+class TestToDecimal:
+    """to_decimal(n) == str(n); conftest lifts the int-to-str cap that str() would hit."""
+
+    def test_matches_str_at_random_sizes(self):
+        # Sizes log-uniform up to 10**6 bits, so most draws are small and the
+        # quadratic str() reference stays cheap; this seed draws 8 of the 30
+        # past STR_BITS, the largest of 917,366 bits.
+        rng = random.Random(1)
+        for _ in range(30):
+            bits = round(math.exp(rng.uniform(0, math.log(10**6))))
+            value = (rng.getrandbits(bits) | 1 << (bits - 1)) * rng.choice((1, -1))
+            assert to_decimal(value) == str(value), f"{bits} bits"
+
+    EDGES = {
+        "0": 0,
+        "1": 1,
+        "-1": -1,
+        "-(2**STR_BITS+1)": -(2**STR_BITS + 1),
+        "10**10000-1": 10**10_000 - 1,
+        "10**10000": 10**10_000,
+        "10**100000-1": 10**100_000 - 1,
+        "10**100000": 10**100_000,
+        # 2**k - 1, 2**k and 2**k + 1 where 2**k is the first value split
+        # (k = STR_BITS), one bit further, and where the halving of k lands
+        # exactly on LEAF_BITS; 10**10000 is past STR_BITS too.
+        **{f"2**{k}{d:+d}": 2**k + d for k in (STR_BITS, STR_BITS + 1, 16 * LEAF_BITS) for d in (-1, 0, 1)},
+    }
+
+    @pytest.mark.parametrize("value", EDGES.values(), ids=EDGES)
+    def test_matches_str_at_edges(self, value):
+        assert to_decimal(value) == str(value)
+
+    @pytest.fixture
+    def big(self):
+        """A 10**5-bit value and its str(), taken before any test fixture caps str()."""
+        value = random.Random(3).getrandbits(10**5) | 1 << (10**5 - 1)
+        return value, str(value)
+
+    def test_needs_no_int_str_cap_lift(self, big, default_int_str_cap):
+        value, text = big
+        with pytest.raises(ValueError):
+            str(value)
+        assert to_decimal(value) == text
