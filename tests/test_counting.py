@@ -141,6 +141,23 @@ class TestBruteForce:
         with pytest.raises(TooLarge):
             brute_force_words(6)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_truth_table(self, n):
+        assert brute_force_words(n).as_tuple() == TRUTH[n]
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_word_is_classified_once(self, n, monkeypatch):
+        """With classify forced to D, all 27^n words land in D: none dropped, none counted twice."""
+        seen = []
+
+        def always_d(counts):
+            seen.append(counts)
+            return ClassLabel.D
+
+        monkeypatch.setattr("triwords.counting.classify", always_d)
+        assert brute_force_words(n) == ClassVector(n, 0, 0, 0, 27**n)
+        assert seen and all(min(c) >= 0 and sum(c) == 3 * n for c in seen)
+
 
 class TestCompositionSum:
     def test_n1(self):
@@ -154,6 +171,9 @@ class TestCompositionSum:
     @pytest.mark.parametrize("n", range(5))
     def test_agrees_with_brute_force(self, n):
         assert composition_sum(n) == brute_force_words(n)
+
+    def test_agrees_with_brute_force_at_5(self):
+        assert composition_sum(5) == brute_force_words(5)
 
     @pytest.mark.parametrize("n", range(11))
     def test_matches_truth_table(self, n):
