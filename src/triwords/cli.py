@@ -7,22 +7,26 @@ closed form that is not an integer or letter counts not summing to a
 multiple of three, or was given a generating function it cannot
 expand), and 141 (128 + SIGPIPE, as a shell reports a process killed by
 that signal) when the reader of stdout closes it early, as `| head` does;
-that exit prints nothing.  All values print in full decimal through
-`digits.to_decimal`, so outputs diff bit for bit.
+that exit prints nothing.  All values print in full decimal, so outputs
+diff bit for bit.  A single value (compute, bench) is computed as an int
+and rendered by `digits.to_decimal`.  Streamed rows (table, bfile) are
+computed in exact `decimal` arithmetic, whose `str()` is linear time, in
+the context `digits.EXACT`; json tables stay on ints, which `json` can
+dump.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
+from decimal import Decimal, localcontext
 from typing import Iterator
 
 from .counting import ArityMismatch, ClassLabel, NotDivisibleBy3
-from .digits import decimal_digits, to_decimal
+from .digits import EXACT, to_decimal
 from .engines import (
     ENGINE_IDS,
     EngineDomainError,
@@ -56,10 +60,11 @@ class UnknownSequence(ValueError):
 def _bfile_stream(sequence: str, max_n: int, offset: int = 1) -> Iterator[str]:
     """The "index value" lines of the b-file for one OEIS id, computed as read.
 
-    Values come from one pass of the class's decoupled recurrence; the
-    index runs from `offset` (default 1, matching initial values that
-    start at n = 1) to max_n.  The checks run on the call, so a refused
-    request raises before any line is read.
+    Values come from one pass of the class's decoupled recurrence, in
+    Decimal, so the lines must be read in digits.EXACT; the index runs from
+    `offset` (default 1, matching initial values that start at n = 1) to
+    max_n.  The checks run on the call, so a refused request raises before
+    any line is read.
     """
     if sequence not in OEIS_SEQUENCES:
         raise UnknownSequence(f"unknown sequence {sequence!r}; known: {', '.join(OEIS_SEQUENCES)}")
@@ -68,13 +73,14 @@ def _bfile_stream(sequence: str, max_n: int, offset: int = 1) -> Iterator[str]:
     if offset < 0 or offset > max_n:
         raise ValueError(f"offset must be in 0..max_n, got {offset}")
     label = OEIS_SEQUENCES[sequence]
-    values = check_domain("decoupled", max_n, label).rows((label,), offset, max_n)
-    return (f"{n} {to_decimal(value)}" for n, (value,) in enumerate(values, offset))
+    values = check_domain("decoupled", max_n, label).rows((label,), offset, max_n, Decimal)
+    return (f"{n} {value!s}" for n, (value,) in enumerate(values, offset))
 
 
 def bfile_lines(sequence: str, max_n: int, offset: int = 1) -> list[str]:
     """The "index value" lines of the b-file for one OEIS id, as a list; see _bfile_stream."""
-    return list(_bfile_stream(sequence, max_n, offset))
+    with localcontext(EXACT):
+        return list(_bfile_stream(sequence, max_n, offset))
 
 
 def _cmd_compute(args) -> int:
@@ -85,11 +91,13 @@ def _cmd_compute(args) -> int:
 
 def _cmd_table(args) -> int:
     # series() refuses a bad request on the call, before any output.
-    rows = ((v.n, v.a, v.b, v.c, v.d, v.total) for v in series(args.engine, args.max_n))
+    num = int if args.format == "json" else Decimal
+    rows = ((v.n, v.a, v.b, v.c, v.d, v.total) for v in series(args.engine, args.max_n, num))
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(TABLE_HEADER)
-        writer.writerows(map(to_decimal, r) for r in rows)
+        # Every cell is digits, so no csv quoting ever applies.
+        print(",".join(TABLE_HEADER))
+        for r in rows:
+            print(",".join(map(str, r)))
     elif args.format == "json":
         table = [dict(zip(TABLE_HEADER, r)) for r in rows]
         json.dump({"engine": args.engine, "max_n": args.max_n, "rows": table}, sys.stdout, indent=2)
@@ -97,10 +105,10 @@ def _cmd_table(args) -> int:
     else:
         # Widths need every row; counts are nonnegative, so the widest cell is the largest.
         rows = list(rows)
-        widths = [max(len(h), decimal_digits(max(column))) for h, column in zip(TABLE_HEADER, zip(*rows))]
+        widths = [max(len(h), len(str(max(column)))) for h, column in zip(TABLE_HEADER, zip(*rows))]
         print("  ".join(h.rjust(w) for h, w in zip(TABLE_HEADER, widths)))
         for r in rows:
-            print("  ".join(to_decimal(cell).rjust(w) for cell, w in zip(r, widths)))
+            print("  ".join(str(cell).rjust(w) for cell, w in zip(r, widths)))
     return 0
 
 
@@ -194,7 +202,10 @@ def main(argv: list[str] | None = None) -> int:
         cap = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        status = args.func(args)
+        # Decimal streams are read in the exact context, never the caller's,
+        # which could round them.
+        with localcontext(EXACT):
+            status = args.func(args)
         # Flushed here, so that a reader gone early is caught below and not
         # in the interpreter's own flush at exit.
         sys.stdout.flush()

@@ -1,16 +1,25 @@
 """Decimal text of big integers: full renderings, digit counts and short forms.
 
-`to_decimal` is the package's one renderer of integers in full.  CPython's
-`str(int)` takes time quadratic in the digit count before 3.12, and the
-paper's counts have about 1.43·n digits, so a value at n = 3·10⁵ spends
-seconds in `str()` after milliseconds of arithmetic.  Past a measured
-crossover `to_decimal` converts by divide and conquer over the bits,
-evaluated in stdlib `decimal` (libmpdec), whose large products are
-sub-quadratic: the method of CPython 3.12's `Lib/_pylong.py` (gh-90716).
-Nothing here calls `str()` on an int past the crossover, so the result
-does not depend on CPython's int-to-str cap either.
+`to_decimal` renders one int in full.  CPython's `str(int)` takes time
+quadratic in the digit count before 3.12, and the paper's counts have
+about 1.43·n digits, so a value at n = 3·10⁵ spends seconds in `str()`
+after milliseconds of arithmetic.  Past a measured crossover `to_decimal`
+converts by divide and conquer over the bits, evaluated in stdlib
+`decimal` (libmpdec), whose large products are sub-quadratic: the method
+of CPython 3.12's `Lib/_pylong.py` (gh-90716).  Nothing here calls `str()`
+on an int past the crossover, so the result does not depend on CPython's
+int-to-str cap either.
+
+`EXACT` is the one `decimal` context in which the package computes: the
+largest precision and exponent range `decimal` has, with `Inexact`
+trapped.  Integer sums and products never round in it, and if one ever
+needed to, the trap would raise instead of silently changing a digit.
+`to_decimal` evaluates in it, and so do the recurrences when the CLI runs
+them on Decimals to print their values: `str(Decimal)` is linear time,
+because libmpdec already stores base-10¹⁹ limbs.
 """
 
+import decimal
 from numbers import Rational
 
 FULL_DIGITS = 40  # message text shows an integer up to this long in full, a longer one by its size
@@ -24,6 +33,15 @@ STR_BITS = 32_500
 # The split stops at pieces this short; Decimal(int) converts them directly.
 LEAF_BITS = 3000
 
+# Enter it with decimal.localcontext(EXACT), which works on a copy, so the
+# flags one computation raises never reach this shared object.
+EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Inexact],
+)
+
 
 def to_decimal(n: int) -> str:
     """str(n), byte for byte, in sub-quadratic time for large n.
@@ -31,17 +49,13 @@ def to_decimal(n: int) -> str:
     Up to STR_BITS bits this is str(n).  Past it, n = hi·2^h + lo with
     h = w // 2 for a w-bit n, recursively, down to pieces of at most
     LEAF_BITS bits; the pieces and the powers 2^h (each computed once) are
-    recombined as hi·2^h + lo in `decimal`.  The context is exact: the
-    precision and exponent range are the largest `decimal` has and the
-    Inexact trap is set, so any rounding would raise instead of changing a
-    digit.  Every operand is an integer with exponent 0, so the result's
-    string has no exponent and no trailing-zero form.
+    recombined as hi·2^h + lo in `decimal`, in the EXACT context, so any
+    rounding would raise instead of changing a digit.  Every operand is an
+    integer with exponent 0, so the result's string has no exponent and no
+    trailing-zero form.
     """
     if n.bit_length() <= STR_BITS:
         return str(n)
-    # Imported here: only values past the crossover pay for it, not start-up.
-    import decimal
-
     two = decimal.Decimal(2)
     powers: dict[int, decimal.Decimal] = {}
 
@@ -64,11 +78,7 @@ def to_decimal(n: int) -> str:
         hi = m >> h
         return convert(hi, w - h) * power(h) + convert(m - (hi << h), h)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
+    with decimal.localcontext(EXACT):
         text = str(convert(abs(n), n.bit_length()))
     return "-" + text if n < 0 else text
 

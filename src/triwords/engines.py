@@ -6,10 +6,12 @@ them.  The registry below records each engine's domain (minimum n, an
 upper bound for the brute-force enumerator, and which classes it covers)
 and its one route to the numbers: a stream of rows from n = 0, or a
 function of a single n.  Values, series, bench timings and the validation
-report all read an engine through that route.  The report checks every
-engine against the coupled reference over its domain, the 27^n total
-identity, the characteristic-polynomial factorisation and the
-elimination-identity suite.
+report all read an engine through that route, in ints; a caller that only
+prints the values can ask for another number type, `num`, such as
+`decimal.Decimal`.  The report checks every engine against the coupled
+reference over its domain, the 27^n total identity, the
+characteristic-polynomial factorisation and the elimination-identity
+suite.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from .closedform import case_mod4, closed_form, root_basis
 from .counting import BRUTE_FORCE_MAX_N, ClassLabel, ClassVector, brute_force_words, composition_sum
@@ -38,19 +40,23 @@ class EngineDomainError(ValueError):
     """The engine does not cover the requested class or index."""
 
 
-# An engine's rows: (labels, lo, hi) -> the values of those classes, in
-# label order, for n = lo..hi.
-Rows = Callable[[tuple[ClassLabel, ...], int, int], Iterator[tuple[int, ...]]]
+# The number type of an engine's values: int, or a type built from an int
+# exactly, such as decimal.Decimal.
+Num = Callable[[int], Any]
+
+# An engine's rows: (labels, lo, hi, num=int) -> the values of those classes,
+# in label order and as num, for n = lo..hi.
+Rows = Callable[..., Iterator[tuple]]
 
 
-def _streamed(stream: Callable[[tuple[ClassLabel, ...]], Iterator[tuple[int, ...]]]) -> Rows:
-    """Rows of an engine that produces every index from n = 0: read one pass."""
-    return lambda labels, lo, hi: islice(stream(labels), lo, hi + 1)
+def _streamed(stream: Callable[[tuple[ClassLabel, ...], Num], Iterator[tuple]]) -> Rows:
+    """Rows of an engine that produces every index from n = 0: read one pass, seeded as num."""
+    return lambda labels, lo, hi, num=int: islice(stream(labels, num), lo, hi + 1)
 
 
 def _pointwise(point: Callable[[tuple[ClassLabel, ...], int], tuple[int, ...]]) -> Rows:
-    """Rows of an engine that computes one index at a time: map it over n."""
-    return lambda labels, lo, hi: (point(labels, n) for n in range(lo, hi + 1))
+    """Rows of an engine that computes one index at a time: map it over n, each int taken as num."""
+    return lambda labels, lo, hi, num=int: (tuple(map(num, point(labels, n))) for n in range(lo, hi + 1))
 
 
 def _pick(v: ClassVector, labels: tuple[ClassLabel, ...]) -> tuple[int, ...]:
@@ -79,11 +85,11 @@ ENGINES: dict[str, EngineInfo] = {
         EngineInfo("compsum", 0, None, ALL_LABELS,
                    _pointwise(lambda labels, n: _pick(composition_sum(n), labels)), check_max_n=300),
         EngineInfo("coupled", 0, None, ALL_LABELS,
-                   lambda labels, lo, hi: (_pick(v, labels) for v in islice(coupled_stream(), lo, hi + 1))),
+                   lambda labels, lo, hi, num=int: (_pick(v, labels) for v in islice(coupled_stream(num), lo, hi + 1))),
         EngineInfo("decoupled", 0, None, ALL_LABELS,
-                   _streamed(lambda labels: zip(*map(decoupled_stream, labels)))),
+                   _streamed(lambda labels, num: zip(*(decoupled_stream(label, num) for label in labels)))),
         EngineInfo("quartic-c", 0, None, (ClassLabel.C,),
-                   _streamed(lambda labels: zip(quartic_c_stream()))),
+                   _streamed(lambda labels, num: zip(quartic_c_stream(num)))),
         EngineInfo("closed", 1, None, ALL_LABELS,
                    _pointwise(lambda labels, n: tuple(closed_form(label, n) for label in labels))),
         EngineInfo("rootbasis", 1, None, ALL_LABELS,
@@ -91,7 +97,7 @@ ENGINES: dict[str, EngineInfo] = {
         EngineInfo("mod4", 1, None, ALL_LABELS,
                    _pointwise(lambda labels, n: tuple(case_mod4(label, n) for label in labels))),
         EngineInfo("genfun", 0, None, ALL_LABELS,
-                   _streamed(lambda labels: zip(*(gf_stream(gf_for_class(label)) for label in labels)))),
+                   _streamed(lambda labels, num: zip(*(gf_stream(gf_for_class(label), num) for label in labels)))),
     )
 }
 
@@ -123,17 +129,19 @@ def compute_value(engine: str, label: ClassLabel, n: int) -> int:
     return next(info.rows((label,), n, n))[0]
 
 
-def series(engine: str, max_n: int) -> Iterator[ClassVector]:
+def series(engine: str, max_n: int, num: Num = int) -> Iterator[ClassVector]:
     """Class vectors for n = 0..max_n, computed as read; only engines defined from n = 0 qualify.
 
-    The checks run on the call, so a refused request raises before any vector is read.
+    The counts are of type num; the index n stays an int.  A Decimal series
+    must be read in digits.EXACT, or the caller's context may round it.  The
+    checks run on the call, so a refused request raises before any vector is read.
     """
     if max_n < 0:
         raise EngineDomainError(f"max_n must be nonnegative, got {max_n}")
     info = check_domain(engine, max_n)
     if info.min_n > 0 or info.labels != ALL_LABELS:
         raise EngineDomainError(f"engine {engine!r} cannot produce the full table from n = 0")
-    return (ClassVector(n, *row) for n, row in enumerate(info.rows(ALL_LABELS, 0, max_n)))
+    return (ClassVector(n, *row) for n, row in enumerate(info.rows(ALL_LABELS, 0, max_n, num)))
 
 
 def compute_series(engine: str, max_n: int) -> list[ClassVector]:

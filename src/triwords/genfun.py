@@ -20,12 +20,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import count, islice
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .counting import ClassLabel
 
 #: Polynomial with integer coefficients, ascending, index = degree.
 IntPolynomial = tuple[int, ...]
+
+T = TypeVar("T")
 
 
 class NonUnitConstantTerm(ValueError):
@@ -90,20 +92,22 @@ def gf_for_class(label: ClassLabel) -> RationalGF:
     return RationalGF(numerator, denominator)
 
 
-def gf_stream(gf: RationalGF) -> Iterator[int]:
+def gf_stream(gf: RationalGF, num: Callable[[int], T] = int) -> Iterator[T]:
     """Taylor coefficients c_0, c_1, c_2, ... of a rational generating function.
 
     Uses the linear recursion q_0*c_n = p_n - sum_{j>=1} q_j*c_{n-j}; with
-    |q_0| = 1 every coefficient stays an exact integer.
+    |q_0| = 1 every coefficient stays an exact integer.  The numerator
+    coefficients p_n are taken as num, so the c_n are of that type too.
     """
     q = gf.denominator
-    p = gf.numerator
+    p = tuple(map(num, gf.numerator))
+    zero = num(0)
     q0 = q[0]
     if q0 not in (1, -1):
         raise NonUnitConstantTerm(f"denominator constant term is {q0}, need +-1")
-    recent: deque[int] = deque(maxlen=len(q) - 1)  # c_{n-1}, c_{n-2}, ...
+    recent: deque[T] = deque(maxlen=len(q) - 1)  # c_{n-1}, c_{n-2}, ...
     for n in count():
-        acc = p[n] if n < len(p) else 0
+        acc = p[n] if n < len(p) else zero
         for qj, cj in zip(q[1:], recent):
             acc -= qj * cj
         c = acc * q0  # dividing by +-1

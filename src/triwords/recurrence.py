@@ -23,8 +23,12 @@ third-order recurrence is identified in the first place.
 This module writes each recurrence once, as its seed values and one step
 over a window of the latest values; a single runner, _recurrence, iterates
 them all into streams from n = 0 (the engines take the first N + 1 items or
-item n).  It also adds a numeric identity suite for every intermediate
-elimination identity, all in exact integer arithmetic.
+item n).  A stream takes the number type of its seeds, `num`: int by
+default, or `decimal.Decimal` for output, whose text is linear time (the
+caller then reads it in `digits.EXACT`).  The steps only add and multiply
+by small ints, so they are the same for both.  The module also adds a
+numeric identity suite for every intermediate elimination identity, all in
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -99,25 +103,25 @@ def _recurrence(seeds: Sequence[T], step: Callable[[deque[T]], T]) -> Iterator[T
         yield x
 
 
-def coupled_stream() -> Iterator[ClassVector]:
-    """Class vectors for n = 0, 1, 2, ..., iterated from the seed (1, 0, 0, 0)."""
-    return _recurrence((ClassVector(0, 1, 0, 0, 0),), lambda w: coupled_step(w[-1]))
+def coupled_stream(num: Callable[[int], T] = int) -> Iterator[ClassVector]:
+    """Class vectors for n = 0, 1, 2, ..., iterated from the seed (1, 0, 0, 0) as num."""
+    return _recurrence((ClassVector(0, *map(num, (1, 0, 0, 0))),), lambda w: coupled_step(w[-1]))
 
 
-def decoupled_stream(label: ClassLabel) -> Iterator[int]:
-    """C_label(n) for n = 0, 1, 2, ... by the class's own decoupled recurrence."""
+def decoupled_stream(label: ClassLabel, num: Callable[[int], T] = int) -> Iterator[T]:
+    """C_label(n) for n = 0, 1, 2, ... by the class's own decoupled recurrence, seeded as num."""
     if label is ClassLabel.D:
-        return _recurrence((0, 18), lambda w: 27 * w[-1])
-    return _recurrence(THIRD_ORDER_SEEDS[label], lambda w: 27 * (w[-1] - w[-2] + 27 * w[-3]))
+        return _recurrence(tuple(map(num, (0, 18))), lambda w: 27 * w[-1])
+    return _recurrence(tuple(map(num, THIRD_ORDER_SEEDS[label])), lambda w: 27 * (w[-1] - w[-2] + 27 * w[-3]))
 
 
-def quartic_c_stream() -> Iterator[int]:
-    """C_C(n) for n = 0, 1, 2, ... by the fourth-order recurrence.
+def quartic_c_stream(num: Callable[[int], T] = int) -> Iterator[T]:
+    """C_C(n) for n = 0, 1, 2, ... by the fourth-order recurrence, seeded as num.
 
     x(n) = 26*x(n-1) + 702*x(n-3) + 729*x(n-4), applied for n >= 5 on top
     of the seed values C(0..4) (see QUARTIC_SEEDS for why five seeds).
     """
-    return _recurrence(QUARTIC_SEEDS, lambda w: 26 * w[-1] + 702 * w[-3] + 729 * w[-4])
+    return _recurrence(tuple(map(num, QUARTIC_SEEDS)), lambda w: 26 * w[-1] + 702 * w[-3] + 729 * w[-4])
 
 
 def _nth(stream: Iterator[int], n: int) -> int:

@@ -8,12 +8,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import localcontext
 from pathlib import Path
 
 import pytest
 
 from triwords.cli import BROKEN_PIPE, OEIS_SEQUENCES, bfile_lines, main
+from triwords.closedform import case_mod4
 from triwords.counting import ClassLabel
+from triwords.digits import STR_BITS, to_decimal
 from triwords.engines import compute_series, compute_value, decimal_digits
 from triwords.recurrence import coupled_sequence
 
@@ -213,6 +216,60 @@ class TestTableFormats:
                 tracemalloc.stop()
         assert code == 0
         assert peak < 2**20
+
+
+def _expected_table(engine: str, max_n: int, fmt: str) -> str:
+    """`table` output in csv or aligned format, built from the int series and str()."""
+    header = ["n", "C_A", "C_B", "C_C", "C_D", "total"]
+    lines = [header] + [[str(x) for x in (v.n, *v.as_tuple(), v.total)] for v in compute_series(engine, max_n)]
+    if fmt == "csv":
+        return "".join(",".join(line) + "\n" for line in lines)
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join("  ".join(cell.rjust(w) for cell, w in zip(line, widths)) + "\n" for line in lines)
+
+
+class TestStreamedText:
+    """table and bfile compute their rows in Decimal; their text must be str() of the int values."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize(
+        "engine, max_n", [("coupled", 400), ("decoupled", 400), ("genfun", 400), ("compsum", 60), ("brute", 5)]
+    )
+    def test_table(self, capsys, engine, max_n, fmt):
+        result = run_cli(capsys, "table", "--max-n", str(max_n), "--engine", engine, "--format", fmt)
+        assert result == (0, _expected_table(engine, max_n, fmt), "")
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("sequence", sorted(OEIS_SEQUENCES))
+    def test_bfile(self, capsys, sequence, offset):
+        label = OEIS_SEQUENCES[sequence]
+        want = "".join(f"{v.n} {v.component(label)}\n" for v in compute_series("coupled", 400)[offset:])
+        assert run_cli(capsys, "bfile", sequence, "--max-n", "400", "--offset", str(offset)) == (0, want, "")
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_table_in_caller_context(self, capsys, fmt):
+        # Values at n = 400 have about 570 digits, so 28 would round them.
+        with localcontext() as ctx:
+            ctx.prec = 28
+            ctx.clear_traps()
+            result = run_cli(capsys, "table", "--max-n", "400", "--engine", "genfun", "--format", fmt)
+        assert result == (0, _expected_table("genfun", 400, fmt), "")
+
+    def test_bfile_in_caller_context(self, capsys):
+        want = [f"{v.n} {v.c}" for v in compute_series("coupled", 400)]
+        with localcontext() as ctx:
+            ctx.prec = 28
+            ctx.clear_traps()
+            result = run_cli(capsys, "bfile", "A391470", "--max-n", "400", "--offset", "0")
+            lines = bfile_lines("A391470", 400, 0)
+        assert result == (0, "".join(line + "\n" for line in want), "")
+        assert lines == want
+
+    def test_bfile_row_past_str_bits(self, capsys):
+        value = case_mod4(ClassLabel.A, 7000)
+        assert value.bit_length() > STR_BITS
+        want = f"7000 {to_decimal(value)}\n"
+        assert run_cli(capsys, "bfile", "A391468", "--max-n", "7000", "--offset", "7000") == (0, want, "")
 
 
 class TestBfile:

@@ -5,11 +5,15 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwords.counting import ClassLabel
-from triwords.digits import LEAF_BITS, STR_BITS, brief, to_decimal
+from triwords.digits import EXACT, LEAF_BITS, STR_BITS, brief, to_decimal
 from triwords.engines import (
     ENGINE_IDS,
     EngineDomainError,
@@ -20,6 +24,7 @@ from triwords.engines import (
     run_validation,
     series,
 )
+from triwords.recurrence import quartic_c_stream
 from truth_table import TRUTH
 
 
@@ -95,6 +100,20 @@ class TestSeries:
         from triwords.engines import ENGINES
 
         assert ENGINES["brute"].max_n == BRUTE_FORCE_MAX_N
+
+
+class TestDecimalSeries:
+    @given(st.integers(min_value=0, max_value=400))
+    @settings(max_examples=20, deadline=None)
+    def test_text_matches_int_series(self, max_n):
+        for engine in ("coupled", "decoupled", "genfun"):
+            with localcontext(EXACT):
+                got = [(v.n, *map(str, (*v.as_tuple(), v.total))) for v in series(engine, max_n, Decimal)]
+            want = [(v.n, *map(str, (*v.as_tuple(), v.total))) for v in compute_series(engine, max_n)]
+            assert got == want, engine
+        with localcontext(EXACT):
+            got = list(map(str, islice(quartic_c_stream(Decimal), max_n + 1)))
+        assert got == [str(v.c) for v in compute_series("decoupled", max_n)]
 
 
 class TestMemory:
