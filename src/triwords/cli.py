@@ -11,15 +11,14 @@ that exit prints nothing.  All values print in full decimal, so outputs
 diff bit for bit.  A single value (compute, bench) is computed as an int
 and rendered by `digits.to_decimal`.  Streamed rows (table, bfile) are
 computed in exact `decimal` arithmetic, whose `str()` is linear time, in
-the context `digits.EXACT`; json tables stay on ints, which `json` can
-dump.
+the context `digits.EXACT`.  Neither route calls `str()` on an int past
+CPython's lowest int-to-str cap, so no command touches that cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from decimal import Decimal, localcontext
@@ -91,17 +90,22 @@ def _cmd_compute(args) -> int:
 
 def _cmd_table(args) -> int:
     # series() refuses a bad request on the call, before any output.
-    num = int if args.format == "json" else Decimal
-    rows = ((v.n, v.a, v.b, v.c, v.d, v.total) for v in series(args.engine, args.max_n, num))
+    rows = ((v.n, v.a, v.b, v.c, v.d, v.total) for v in series(args.engine, args.max_n, Decimal))
     if args.format == "csv":
         # Every cell is digits, so no csv quoting ever applies.
         print(",".join(TABLE_HEADER))
         for r in rows:
             print(",".join(map(str, r)))
     elif args.format == "json":
-        table = [dict(zip(TABLE_HEADER, r)) for r in rows]
-        json.dump({"engine": args.engine, "max_n": args.max_n, "rows": table}, sys.stdout, indent=2)
-        print()
+        # json.dump(..., indent=2)'s layout, a row at a time.  Engine ids and
+        # headers need no escaping, and there is always the row n = 0.
+        print(f'{{\n  "engine": "{args.engine}",\n  "max_n": {args.max_n},\n  "rows": [')
+        separator = ""
+        for r in rows:
+            fields = ",\n".join(f'      "{h}": {cell}' for h, cell in zip(TABLE_HEADER, r))
+            print(f"{separator}    {{\n{fields}\n    }}", end="")
+            separator = ",\n"
+        print("\n  ]\n}")
     else:
         # Widths need every row; counts are nonnegative, so the widest cell is the largest.
         rows = list(rows)
@@ -193,14 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Values grow past CPython's default int-to-str conversion cap (4300
-    # digits) long before the engines slow down; printing in full decimal
-    # is part of the contract, so lift the cap while the command runs and
-    # leave it to the caller as it was.  Python 3.10 has no cap.
-    capped = hasattr(sys, "set_int_max_str_digits")
-    if capped:
-        cap = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
     try:
         # Decimal streams are read in the exact context, never the caller's,
         # which could round them.
@@ -223,9 +219,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    finally:
-        if capped:
-            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -3,12 +3,12 @@
 `to_decimal` renders one int in full.  CPython's `str(int)` takes time
 quadratic in the digit count before 3.12, and the paper's counts have
 about 1.43·n digits, so a value at n = 3·10⁵ spends seconds in `str()`
-after milliseconds of arithmetic.  Past a measured crossover `to_decimal`
-converts by divide and conquer over the bits, evaluated in stdlib
-`decimal` (libmpdec), whose large products are sub-quadratic: the method
-of CPython 3.12's `Lib/_pylong.py` (gh-90716).  Nothing here calls `str()`
-on an int past the crossover, so the result does not depend on CPython's
-int-to-str cap either.
+after milliseconds of arithmetic.  Past STR_BITS `to_decimal` converts by
+divide and conquer over the bits, evaluated in stdlib `decimal`
+(libmpdec), whose large products are sub-quadratic: the method of CPython
+3.12's `Lib/_pylong.py` (gh-90716).  STR_BITS is small enough that no
+int-to-str cap CPython accepts stops the `str()` below it, so the result
+does not depend on that cap: no caller has to lift it.
 
 `EXACT` is the one `decimal` context in which the package computes: the
 largest precision and exponent range `decimal` has, with `Inexact`
@@ -24,12 +24,10 @@ from numbers import Rational
 
 FULL_DIGITS = 40  # message text shows an integer up to this long in full, a longer one by its size
 
-# Up to STR_BITS bits plain str() is the faster route.  Medians of 27 runs
-# on random values, 2-vCPU box, CPython 3.11.7: str() wins at 20,000 bits
-# (0.65 vs 0.78 ms) and 32,000 (1.6 vs 1.8 ms); `decimal` wins from 32,500
-# (1.4 vs 1.7 ms; its time drops there by a quarter), at 40,000 (1.9 vs
-# 2.4 ms) and at 100,000 (7.2 vs 15.2 ms).
-STR_BITS = 32_500
+# Up to STR_BITS bits plain str().  2**2126 < 10**640, so these values have
+# at most 640 digits, the lowest int-to-str cap CPython lets anyone set
+# (sys.int_info.str_digits_check_threshold).
+STR_BITS = 2126
 # The split stops at pieces this short; Decimal(int) converts them directly.
 LEAF_BITS = 3000
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -205,8 +206,9 @@ class TestTableFormats:
         assert out == ""
         assert err.startswith("error: ")
 
-    def test_csv_streams_rows(self):
-        argv = ["table", "--max-n", "1000", "--engine", "coupled", "--format", "csv"]
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_csv_streams_rows(self, fmt):
+        argv = ["table", "--max-n", "1000", "--engine", "coupled", "--format", fmt]
         with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
             tracemalloc.start()
             try:
@@ -219,8 +221,11 @@ class TestTableFormats:
 
 
 def _expected_table(engine: str, max_n: int, fmt: str) -> str:
-    """`table` output in csv or aligned format, built from the int series and str()."""
+    """`table` output in any format, built from the int series with str(), or json.dumps for json."""
     header = ["n", "C_A", "C_B", "C_C", "C_D", "total"]
+    if fmt == "json":
+        rows = [dict(zip(header, (v.n, *v.as_tuple(), v.total))) for v in compute_series(engine, max_n)]
+        return json.dumps({"engine": engine, "max_n": max_n, "rows": rows}, indent=2) + "\n"
     lines = [header] + [[str(x) for x in (v.n, *v.as_tuple(), v.total)] for v in compute_series(engine, max_n)]
     if fmt == "csv":
         return "".join(",".join(line) + "\n" for line in lines)
@@ -231,7 +236,7 @@ def _expected_table(engine: str, max_n: int, fmt: str) -> str:
 class TestStreamedText:
     """table and bfile compute their rows in Decimal; their text must be str() of the int values."""
 
-    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     @pytest.mark.parametrize(
         "engine, max_n", [("coupled", 400), ("decoupled", 400), ("genfun", 400), ("compsum", 60), ("brute", 5)]
     )
@@ -246,7 +251,7 @@ class TestStreamedText:
         want = "".join(f"{v.n} {v.component(label)}\n" for v in compute_series("coupled", 400)[offset:])
         assert run_cli(capsys, "bfile", sequence, "--max-n", "400", "--offset", str(offset)) == (0, want, "")
 
-    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     def test_table_in_caller_context(self, capsys, fmt):
         # Values at n = 400 have about 570 digits, so 28 would round them.
         with localcontext() as ctx:
@@ -427,3 +432,31 @@ def test_closed_stdout_exits_quietly(argv, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (BROKEN_PIPE, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--engine", "mod4", "--class", "A", "--n", "60000"],
+        ["compute", "--class", "D", "--n", "3200"],
+        *(["table", "--max-n", "700", "--format", fmt] for fmt in ("table", "csv", "json")),
+        ["bfile", "A391468", "--max-n", "700"],
+        ["bench", "--max-n", "700", "--engines", "coupled,mod4"],
+    ],
+    ids=["compute-mod4", "compute-D", "table", "table-csv", "table-json", "bfile", "bench"],
+)
+def test_lowest_int_str_cap(capsys, argv):
+    # 640 digits is the lowest int-to-str cap CPython accepts, and every
+    # command here renders values past it.  bench's second column, seconds,
+    # differs from run to run; the pattern is anchored at line starts, so
+    # it stays linear time on lines of thousands of digits.
+    def mask(text):
+        return re.sub(r"(?m)^(\S+ +)\d+\.\d+", r"\1<seconds>", text)
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONINTMAXSTRDIGITS="640")
+    proc = subprocess.run(
+        [sys.executable, "-m", "triwords", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    _, out, _ = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert mask(proc.stdout) == mask(out)

@@ -184,7 +184,7 @@ class TestToDecimal:
 
     def test_matches_str_at_random_sizes(self):
         # Sizes log-uniform up to 10**6 bits, so most draws are small and the
-        # quadratic str() reference stays cheap; this seed draws 8 of the 30
+        # quadratic str() reference stays cheap; this seed draws 13 of the 30
         # past STR_BITS, the largest of 917,366 bits.
         rng = random.Random(1)
         for _ in range(30):
@@ -201,9 +201,9 @@ class TestToDecimal:
         "10**10000": 10**10_000,
         "10**100000-1": 10**100_000 - 1,
         "10**100000": 10**100_000,
-        # 2**k - 1, 2**k and 2**k + 1 where 2**k is the first value split
-        # (k = STR_BITS), one bit further, and where the halving of k lands
-        # exactly on LEAF_BITS; 10**10000 is past STR_BITS too.
+        # 2**k - 1, 2**k and 2**k + 1 where 2**k is the first value rendered
+        # in decimal (k = STR_BITS), one bit further, and where the halving
+        # of k lands exactly on LEAF_BITS; 10**10000 is past STR_BITS too.
         **{f"2**{k}{d:+d}": 2**k + d for k in (STR_BITS, STR_BITS + 1, 16 * LEAF_BITS) for d in (-1, 0, 1)},
     }
 
@@ -211,11 +211,17 @@ class TestToDecimal:
     def test_matches_str_at_edges(self, value):
         assert to_decimal(value) == str(value)
 
-    @pytest.fixture
-    def big(self):
-        """A 10**5-bit value and its str(), taken before any test fixture caps str()."""
-        value = random.Random(3).getrandbits(10**5) | 1 << (10**5 - 1)
-        return value, str(value)
+    BIG = {
+        "random-100000-bits": random.Random(3).getrandbits(10**5) | 1 << (10**5 - 1),
+        # 19,020 bits, 5,726 digits: past the default cap, at a size where
+        # str() would still be the faster route.
+        "3**12000": 3**12000,
+    }
+
+    @pytest.fixture(params=BIG.values(), ids=BIG)
+    def big(self, request):
+        """A value past the default cap and its str(), taken before any test fixture caps str()."""
+        return request.param, str(request.param)
 
     def test_needs_no_int_str_cap_lift(self, big, default_int_str_cap):
         value, text = big
