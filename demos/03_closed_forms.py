@@ -1,9 +1,10 @@
 """Closed forms, evaluated exactly in the ring Q(i, sqrt3).
 
 The third-order recurrence has characteristic roots 27 and +-3*sqrt3*i,
-so each class count is a fixed rational combination of their n-th powers.
-No floating point appears anywhere: the ring keeps four exact rational
-coordinates over the basis (1, sqrt3, i, i*sqrt3).
+so each class count is a fixed combination of their n-th powers.  No
+floating point appears anywhere: each form is scaled by its common
+denominator, so the ring's four coordinates over the basis
+(1, sqrt3, i, i*sqrt3) stay integers, and one exact division ends it.
 """
 
 from triwords import ClassLabel, case_mod4, closed_form, composition_sum, root_basis

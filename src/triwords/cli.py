@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import os
 import sys
+from collections import deque
 from decimal import Decimal, localcontext
 from typing import Iterator
 
@@ -89,8 +90,10 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    def table_rows() -> Iterator[tuple]:
+        return ((v.n, v.a, v.b, v.c, v.d, v.total) for v in series(args.engine, args.max_n, Decimal))
     # series() refuses a bad request on the call, before any output.
-    rows = ((v.n, v.a, v.b, v.c, v.d, v.total) for v in series(args.engine, args.max_n, Decimal))
+    rows = table_rows()
     if args.format == "csv":
         # Every cell is digits, so no csv quoting ever applies.
         print(",".join(TABLE_HEADER))
@@ -107,11 +110,11 @@ def _cmd_table(args) -> int:
             separator = ",\n"
         print("\n  ]\n}")
     else:
-        # Widths need every row; counts are nonnegative, so the widest cell is the largest.
-        rows = list(rows)
-        widths = [max(len(h), len(str(max(column)))) for h, column in zip(TABLE_HEADER, zip(*rows))]
+        # Counts never fall as n grows (appending 111 keeps a word's class), so a first pass's last row is the widest.
+        (last,) = deque(rows, maxlen=1)
+        widths = [max(len(h), len(str(cell))) for h, cell in zip(TABLE_HEADER, last)]
         print("  ".join(h.rjust(w) for h, w in zip(TABLE_HEADER, widths)))
-        for r in rows:
+        for r in table_rows():
             print("  ".join(str(cell).rjust(w) for cell, w in zip(r, widths)))
     return 0
 

@@ -5,19 +5,19 @@ x^3 - 27(x^2 - x + 27) with roots
 
     x1 = 27,    x2 = 3*sqrt(3)*i,    x3 = -3*sqrt(3)*i,
 
-so each of A, B, C is a fixed rational combination of x1^n, x2^n, x3^n,
-and D (whose recurrence is simply x(n) = 27*x(n-1)) is (2/3)*27^n.  The
-same counts can be written with an explicit oscillating term,
+so 18 times each of A, B, C is a combination of x1^n, x2^n, x3^n with
+coefficients in Z[i, sqrt3], and D (whose recurrence is simply x(n) =
+27*x(n-1)) is 2*27^n/3.  The same counts have an explicit oscillating term,
 
     A(n) = 3^(3n-2) + (1 + (-1)^n) * i^n * 3^((3n-2)/2)
     B(n) = 3^(3n-2) - ((1 + (-1)^n) + i*sqrt3*(1 - (-1)^n)) * i^n/2 * 3^((3n-2)/2)
     C(n) = 3^(3n-2) - ((1 + (-1)^n) - i*sqrt3*(1 - (-1)^n)) * i^n/2 * 3^((3n-2)/2)
     D(n) = 2 * 3^(3n-1),
 
-and, after branching on n mod 4, with no radicals at all.  All three
-routes are evaluated exactly (the first two inside Q(i, sqrt3)) and must
-agree bit for bit; the radical-free route exists precisely to catch sign
-slips in the ring arithmetic.
+and, after branching on n mod 4, with no radicals at all.  The first two
+routes clear denominators (2 in the oscillating B and C, 18 and 3 in the
+root basis) and divide exactly once.  All three must agree bit for bit;
+the radical-free route exists to catch sign slips in the ring arithmetic.
 
 The formulas hold for n >= 1.  They are not extended to n = 0: there the
 oscillating forms give 7/9, -2/9, -2/9 instead of the true 1, 0, 0, which
@@ -26,22 +26,21 @@ is also why the third-order recurrence only applies from n = 4 onward.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .counting import ClassLabel
-from .ring import AlgebraicQ3i, I_SQRT3, i_power, sqrt3_power
+from .ring import AlgebraicQ3i, I_SQRT3, NotRationalInteger, i_power, sqrt3_power
 
 # Roots of x^3 - 27(x^2 - x + 27); x2 and x3 are complex conjugates.
 X1 = 27
 X2 = AlgebraicQ3i(0, 0, 0, 3)
 X3 = X2.conjugate()
 
-_HALF = Fraction(1, 2)
-_ROOT_BASIS_X1_COEFF = Fraction(1, 9)
-# Coefficients of x2^n / x3^n in the root-basis forms of B and C; B takes
-# (-(1+i*sqrt3)/6, -(1-i*sqrt3)/6) and C the same pair swapped.
-_B_X2_COEFF = -(1 + I_SQRT3) * Fraction(1, 6)
-_B_X3_COEFF = -(1 - I_SQRT3) * Fraction(1, 6)
+# The coefficients of (x1^n, x2^n, x3^n) in 18*C_label(n).  Unscaled, A's are
+# (1/9, 1/3, 1/3) and B's (1/9, -(1 + i*sqrt3)/6, -(1 - i*sqrt3)/6); C swaps B's last two.
+_ROOT_BASIS_X18 = {
+    ClassLabel.A: (2, 6, 6),
+    ClassLabel.B: (2, -3 - 3 * I_SQRT3, -3 + 3 * I_SQRT3),
+    ClassLabel.C: (2, -3 + 3 * I_SQRT3, -3 - 3 * I_SQRT3),
+}
 
 
 def _require_positive(n: int) -> None:
@@ -49,8 +48,16 @@ def _require_positive(n: int) -> None:
         raise ValueError(f"closed forms hold for n >= 1, got {n}")
 
 
+def _exact_quotient(value: AlgebraicQ3i, divisor: int) -> int:
+    """value / divisor as an int, or raise NotRationalInteger when it is not one."""
+    quotient, remainder = divmod(value.to_integer(), divisor)
+    if remainder:
+        raise NotRationalInteger(f"{value} is not a multiple of {divisor}")
+    return quotient
+
+
 def closed_form(label: ClassLabel, n: int) -> int:
-    """Evaluate the oscillating-term formula for C_label(n) in Q(i, sqrt3)."""
+    """Evaluate the oscillating-term formula for C_label(n) in Z[i, sqrt3]."""
     _require_positive(n)
     if label is ClassLabel.D:
         return 2 * 3 ** (3 * n - 1)
@@ -59,29 +66,19 @@ def closed_form(label: ClassLabel, n: int) -> int:
     parity_plus = 1 + (-1) ** n
     parity_minus = 1 - (-1) ** n
     if label is ClassLabel.A:
-        value = base + parity_plus * osc
-    elif label is ClassLabel.B:
-        value = base - (parity_plus + I_SQRT3 * parity_minus) * _HALF * osc
-    else:
-        value = base - (parity_plus - I_SQRT3 * parity_minus) * _HALF * osc
-    return value.to_integer()
+        return _exact_quotient(base + parity_plus * osc, 1)
+    # B and C twice over, clearing the 1/2 of their oscillating terms; C's i*sqrt3 is B's negated.
+    i_sqrt3 = I_SQRT3 if label is ClassLabel.B else -I_SQRT3
+    return _exact_quotient(2 * base - (parity_plus + i_sqrt3 * parity_minus) * osc, 2)
 
 
 def root_basis(label: ClassLabel, n: int) -> int:
-    """Evaluate C_label(n) as a rational combination of the root powers."""
+    """Evaluate C_label(n) as a combination of the root powers, over a common denominator."""
     _require_positive(n)
     if label is ClassLabel.D:
-        return (Fraction(2, 3) * AlgebraicQ3i(X1**n)).to_integer()
-    x1n = AlgebraicQ3i(X1**n)
-    x2n = X2**n
-    x3n = X3**n
-    if label is ClassLabel.A:
-        value = _ROOT_BASIS_X1_COEFF * x1n + Fraction(1, 3) * (x2n + x3n)
-    elif label is ClassLabel.B:
-        value = _ROOT_BASIS_X1_COEFF * x1n + _B_X2_COEFF * x2n + _B_X3_COEFF * x3n
-    else:
-        value = _ROOT_BASIS_X1_COEFF * x1n + _B_X3_COEFF * x2n + _B_X2_COEFF * x3n
-    return value.to_integer()
+        return _exact_quotient(AlgebraicQ3i(2 * X1**n), 3)
+    c1, c2, c3 = _ROOT_BASIS_X18[label]
+    return _exact_quotient(c1 * X1**n + c2 * X2**n + c3 * X3**n, 18)
 
 
 def case_mod4(label: ClassLabel, n: int) -> int:

@@ -12,7 +12,7 @@ powers of 3*sqrt3*i, say) stays in plain ints.  The multiplication table is
     sqrt3 * (i*sqrt3) = 3*i    i * (i*sqrt3) = -sqrt3
 
 This is just enough structure to evaluate n-th powers of the recurrence
-roots 27 and +-3*sqrt(3)*i and the rational coefficients that multiply
+roots 27 and +-3*sqrt(3)*i and the Z[i, sqrt3] coefficients that multiply
 them, with no floating point anywhere.
 """
 

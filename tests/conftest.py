@@ -1,11 +1,27 @@
+import contextlib
 import sys
 
 import pytest
 
-# Engine outputs exceed CPython's default 4300-digit str() cap well within
-# the tested range; tests print and parse full decimals.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
+
+@contextlib.contextmanager
+def _int_str_cap(digits):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.fixture
+def no_int_str_cap():
+    """No int-to-str cap while the test runs, for oracles that call str() or int() on big ints."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield  # no cap before 3.11
+        return
+    with _int_str_cap(0):
+        yield
 
 
 @pytest.fixture
@@ -13,9 +29,5 @@ def default_int_str_cap():
     """CPython's default 4300-digit int-to-str cap while the test runs, as a caller that never lifts it has."""
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int-to-str cap before 3.11")
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
+    with _int_str_cap(4300):
         yield
-    finally:
-        sys.set_int_max_str_digits(previous)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from triwords import closedform
 from triwords.cli import BROKEN_PIPE, OEIS_SEQUENCES, bfile_lines, main
 from triwords.closedform import case_mod4
 from triwords.counting import ClassLabel
@@ -68,6 +69,14 @@ class TestCompute:
         assert out == ""
         assert err == "internal error: simulated non-integer closed form\n"
 
+    def test_closed_form_remainder_is_internal_error(self, capsys, monkeypatch):
+        # An x1^n coefficient of 3, not 2, adds 27^n to 18*A(n); 27^n is odd, so the sum is no multiple of 18.
+        monkeypatch.setitem(closedform._ROOT_BASIS_X18, ClassLabel.A, (3, 6, 6))
+        code, out, err = run_cli(capsys, "compute", "--class", "A", "--n", "5", "--engine", "rootbasis")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ")
+
     def test_non_unit_generating_function_is_internal_error(self, capsys, monkeypatch):
         from triwords.genfun import RationalGF
 
@@ -116,14 +125,14 @@ class TestCompute:
         assert len(outputs) == 1
 
     @pytest.mark.parametrize("engine", ["mod4", "closed", "rootbasis"])
-    def test_large_values_print_as_str(self, capsys, engine):
+    def test_large_values_print_as_str(self, capsys, engine, no_int_str_cap):
         # At n = 60000 every class has about 2.8*10**5 bits, past the size
         # where to_decimal leaves str() for decimal.
         for label in ClassLabel:
             result = run_cli(capsys, "compute", "--engine", engine, "--class", label.value, "--n", "60000")
             assert result == (0, str(compute_value(engine, label, 60000)) + "\n", ""), label
 
-    def test_huge_value_prints_in_full(self, capsys):
+    def test_huge_value_prints_in_full(self, capsys, no_int_str_cap):
         code, out, _ = run_cli(capsys, "compute", "--class", "D", "--n", "3200")
         assert code == 0
         value = int(out)
@@ -206,7 +215,7 @@ class TestTableFormats:
         assert out == ""
         assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
     def test_csv_streams_rows(self, fmt):
         argv = ["table", "--max-n", "1000", "--engine", "coupled", "--format", fmt]
         with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import pytest
 
 from triwords.closedform import X1, X2, X3, case_mod4, closed_form, root_basis
@@ -78,3 +81,24 @@ class TestAgreement:
         for n in range(1, 61):
             total = sum(closed_form(label, n) for label in (ClassLabel.A, ClassLabel.B, ClassLabel.C))
             assert total == 3 ** (3 * n - 1)
+
+
+class TestIntegerArithmetic:
+    def test_no_fraction_arithmetic(self):
+        """Every form is cleared of its denominators, so no code of the fractions module runs."""
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_globals.get("__name__") == "fractions":
+                calls[frame.f_code.co_name] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for n in range(1, 61):
+                for label in ClassLabel:
+                    for route in ROUTES:
+                        route(label, n)
+        finally:
+            sys.setprofile(previous)
+        assert not calls, calls.most_common(5)

@@ -180,9 +180,9 @@ class TestBrief:
 
 
 class TestToDecimal:
-    """to_decimal(n) == str(n); conftest lifts the int-to-str cap that str() would hit."""
+    """to_decimal(n) == str(n); the no_int_str_cap fixture lifts the int-to-str cap that str() would hit."""
 
-    def test_matches_str_at_random_sizes(self):
+    def test_matches_str_at_random_sizes(self, no_int_str_cap):
         # Sizes log-uniform up to 10**6 bits, so most draws are small and the
         # quadratic str() reference stays cheap; this seed draws 13 of the 30
         # past STR_BITS, the largest of 917,366 bits.
@@ -208,7 +208,7 @@ class TestToDecimal:
     }
 
     @pytest.mark.parametrize("value", EDGES.values(), ids=EDGES)
-    def test_matches_str_at_edges(self, value):
+    def test_matches_str_at_edges(self, value, no_int_str_cap):
         assert to_decimal(value) == str(value)
 
     BIG = {
@@ -219,8 +219,8 @@ class TestToDecimal:
     }
 
     @pytest.fixture(params=BIG.values(), ids=BIG)
-    def big(self, request):
-        """A value past the default cap and its str(), taken before any test fixture caps str()."""
+    def big(self, request, no_int_str_cap):
+        """A value past the default cap and its str(), taken with the cap lifted, before default_int_str_cap sets it."""
         return request.param, str(request.param)
 
     def test_needs_no_int_str_cap_lift(self, big, default_int_str_cap):
