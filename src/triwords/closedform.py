@@ -14,8 +14,9 @@ coefficients in Z[i, sqrt3], and D (whose recurrence is simply x(n) =
     C(n) = 3^(3n-2) - ((1 + (-1)^n) - i*sqrt3*(1 - (-1)^n)) * i^n/2 * 3^((3n-2)/2)
     D(n) = 2 * 3^(3n-1),
 
-and, after branching on n mod 4, with no radicals at all.  The first two
-routes clear denominators (2 in the oscillating B and C, 18 and 3 in the
+and, after branching on the parity of n, with no radicals at all.  Each
+route computes the whole class vector at n, taking the shared powers once;
+the first two clear denominators (2 in the oscillating B and C, 18 in the
 root basis) and divide exactly once.  All three must agree bit for bit;
 the radical-free route exists to catch sign slips in the ring arithmetic.
 
@@ -26,7 +27,7 @@ is also why the third-order recurrence only applies from n = 4 onward.
 
 from __future__ import annotations
 
-from .counting import ClassLabel
+from .counting import ClassLabel, ClassVector
 from .ring import AlgebraicQ3i, I_SQRT3, NotRationalInteger, i_power, sqrt3_power
 
 # Roots of x^3 - 27(x^2 - x + 27); x2 and x3 are complex conjugates.
@@ -35,11 +36,12 @@ X2 = AlgebraicQ3i(0, 0, 0, 3)
 X3 = X2.conjugate()
 
 # The coefficients of (x1^n, x2^n, x3^n) in 18*C_label(n).  Unscaled, A's are
-# (1/9, 1/3, 1/3) and B's (1/9, -(1 + i*sqrt3)/6, -(1 - i*sqrt3)/6); C swaps B's last two.
+# (1/9, 1/3, 1/3), B's (1/9, -(1 + i*sqrt3)/6, -(1 - i*sqrt3)/6) and D's (2/3, 0, 0); C swaps B's last two.
 _ROOT_BASIS_X18 = {
     ClassLabel.A: (2, 6, 6),
     ClassLabel.B: (2, -3 - 3 * I_SQRT3, -3 + 3 * I_SQRT3),
     ClassLabel.C: (2, -3 + 3 * I_SQRT3, -3 - 3 * I_SQRT3),
+    ClassLabel.D: (12, 0, 0),
 }
 
 
@@ -56,50 +58,53 @@ def _exact_quotient(value: AlgebraicQ3i, divisor: int) -> int:
     return quotient
 
 
-def closed_form(label: ClassLabel, n: int) -> int:
-    """Evaluate the oscillating-term formula for C_label(n) in Z[i, sqrt3]."""
+def closed_form_vector(n: int) -> ClassVector:
+    """Evaluate the oscillating-term formulas for every class at n in Z[i, sqrt3]."""
     _require_positive(n)
-    if label is ClassLabel.D:
-        return 2 * 3 ** (3 * n - 1)
     base = 3 ** (3 * n - 2)
     osc = i_power(n) * sqrt3_power(3 * n - 2)
-    parity_plus = 1 + (-1) ** n
-    parity_minus = 1 - (-1) ** n
-    if label is ClassLabel.A:
-        return _exact_quotient(base + parity_plus * osc, 1)
+    even, odd = (1 + (-1) ** n) * osc, (1 - (-1) ** n) * I_SQRT3 * osc
     # B and C twice over, clearing the 1/2 of their oscillating terms; C's i*sqrt3 is B's negated.
-    i_sqrt3 = I_SQRT3 if label is ClassLabel.B else -I_SQRT3
-    return _exact_quotient(2 * base - (parity_plus + i_sqrt3 * parity_minus) * osc, 2)
+    b2, c2 = 2 * base - even - odd, 2 * base - even + odd
+    return ClassVector(n, _exact_quotient(base + even, 1), _exact_quotient(b2, 2), _exact_quotient(c2, 2), 6 * base)
 
 
-def root_basis(label: ClassLabel, n: int) -> int:
-    """Evaluate C_label(n) as a combination of the root powers, over a common denominator."""
+def root_basis_vector(n: int) -> ClassVector:
+    """Evaluate every class at n as a combination of the root powers, over the denominator 18."""
     _require_positive(n)
-    if label is ClassLabel.D:
-        return _exact_quotient(AlgebraicQ3i(2 * X1**n), 3)
-    c1, c2, c3 = _ROOT_BASIS_X18[label]
-    return _exact_quotient(c1 * X1**n + c2 * X2**n + c3 * X3**n, 18)
+    x1n, x2n = X1**n, X2**n
+    x3n = x2n.conjugate()  # X3 is X2's conjugate, and conjugation is a ring automorphism
+    rows = (_ROOT_BASIS_X18[label] for label in ClassLabel)
+    return ClassVector(n, *(_exact_quotient(c1 * x1n + c2 * x2n + c3 * x3n, 18) for c1, c2, c3 in rows))
 
 
-def case_mod4(label: ClassLabel, n: int) -> int:
-    """Evaluate C_label(n) with integer arithmetic only, branching on n mod 4.
+def case_mod4_vector(n: int) -> ClassVector:
+    """Evaluate every class at n with integer arithmetic only.
 
     For even n the oscillation collapses to (-1)^(n/2) * 3^((3n-2)/2); for
     odd n the half-integer power of 3 combines with the i*sqrt3 factor
     into 3^((3n-1)/2) with a sign that alternates with n mod 4.
     """
     _require_positive(n)
-    if label is ClassLabel.D:
-        return 2 * 3 ** (3 * n - 1)
     base = 3 ** (3 * n - 2)
+    sign = -1 if (n // 2) % 2 else 1
     if n % 2 == 0:
-        sign = -1 if (n // 2) % 2 else 1
-        half = 3 ** ((3 * n - 2) // 2)
-        if label is ClassLabel.A:
-            return base + 2 * sign * half
-        return base - sign * half  # B and C share the even branch
-    if label is ClassLabel.A:
-        return base
-    s = 1 if n % 4 == 1 else -1
-    odd = 3 ** ((3 * n - 1) // 2)
-    return base + s * odd if label is ClassLabel.B else base - s * odd
+        half = sign * 3 ** ((3 * n - 2) // 2)
+        return ClassVector(n, base + 2 * half, base - half, base - half, 6 * base)
+    odd = sign * 3 ** ((3 * n - 1) // 2)
+    return ClassVector(n, base, base + odd, base - odd, 6 * base)
+
+
+def closed_form(label: ClassLabel, n: int) -> int:
+    """C_label(n) from the oscillating-term formulas; see closed_form_vector."""
+    return closed_form_vector(n).component(label)
+
+
+def root_basis(label: ClassLabel, n: int) -> int:
+    """C_label(n) from the root powers; see root_basis_vector."""
+    return root_basis_vector(n).component(label)
+
+
+def case_mod4(label: ClassLabel, n: int) -> int:
+    """C_label(n) with integer arithmetic only; see case_mod4_vector."""
+    return case_mod4_vector(n).component(label)

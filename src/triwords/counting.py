@@ -81,7 +81,7 @@ class ClassVector:
         return self.a + self.b + self.c + self.d
 
     def component(self, label: ClassLabel) -> int:
-        return {ClassLabel.A: self.a, ClassLabel.B: self.b, ClassLabel.C: self.c, ClassLabel.D: self.d}[label]
+        return getattr(self, label.name.lower())  # each field is named for its label
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)

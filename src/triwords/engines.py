@@ -5,12 +5,12 @@ route, so any disagreement, down to a single bit, is a bug in one of
 them.  The registry below records each engine's domain (minimum n, an
 upper bound for the brute-force enumerator, and which classes it covers)
 and its one route to the numbers: a stream of rows from n = 0, or a
-function of a single n.  Values, series, bench timings and the validation
-report all read an engine through that route, in ints; a caller that only
-prints the values can ask for another number type, `num`, such as
-`decimal.Decimal`.  The report checks every engine against the coupled
-reference over its domain, the 27^n total identity, the
-characteristic-polynomial factorisation and the elimination-identity
+function of n that returns the class vector.  Values, series, bench
+timings and the validation report all read an engine through that route,
+in ints; a caller that only prints the values can ask for another number
+type, `num`, such as `decimal.Decimal`.  The report checks every engine
+against the coupled reference over its domain, the 27^n total identity,
+the characteristic-polynomial factorisation and the elimination-identity
 suite.
 """
 
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Iterator
 
-from .closedform import case_mod4, closed_form, root_basis
+from .closedform import case_mod4_vector, closed_form_vector, root_basis_vector
 from .counting import BRUTE_FORCE_MAX_N, ClassLabel, ClassVector, brute_force_words, composition_sum
-from .digits import FULL_DIGITS, decimal_digits
+from .digits import brief, decimal_digits  # decimal_digits is imported from here too
 from .genfun import gf_for_class, gf_stream
 from .recurrence import (
     char_poly_check,
@@ -54,13 +54,13 @@ def _streamed(stream: Callable[[tuple[ClassLabel, ...], Num], Iterator[tuple]]) 
     return lambda labels, lo, hi, num=int: islice(stream(labels, num), lo, hi + 1)
 
 
-def _pointwise(point: Callable[[tuple[ClassLabel, ...], int], tuple[int, ...]]) -> Rows:
-    """Rows of an engine that computes one index at a time: map it over n, each int taken as num."""
-    return lambda labels, lo, hi, num=int: (tuple(map(num, point(labels, n))) for n in range(lo, hi + 1))
-
-
 def _pick(v: ClassVector, labels: tuple[ClassLabel, ...]) -> tuple[int, ...]:
     return tuple(map(v.component, labels))
+
+
+def _pointwise(point: Callable[[int], ClassVector]) -> Rows:
+    """Rows of an engine that computes one class vector at a time: map it over n, each int taken as num."""
+    return lambda labels, lo, hi, num=int: (tuple(map(num, _pick(point(n), labels))) for n in range(lo, hi + 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,22 +80,17 @@ class EngineInfo:
 ENGINES: dict[str, EngineInfo] = {
     e.name: e
     for e in (
-        EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS,
-                   _pointwise(lambda labels, n: _pick(brute_force_words(n), labels))),
-        EngineInfo("compsum", 0, None, ALL_LABELS,
-                   _pointwise(lambda labels, n: _pick(composition_sum(n), labels)), check_max_n=300),
+        EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS, _pointwise(lambda n: brute_force_words(n))),
+        EngineInfo("compsum", 0, None, ALL_LABELS, _pointwise(lambda n: composition_sum(n)), check_max_n=300),
         EngineInfo("coupled", 0, None, ALL_LABELS,
                    lambda labels, lo, hi, num=int: (_pick(v, labels) for v in islice(coupled_stream(num), lo, hi + 1))),
         EngineInfo("decoupled", 0, None, ALL_LABELS,
                    _streamed(lambda labels, num: zip(*(decoupled_stream(label, num) for label in labels)))),
         EngineInfo("quartic-c", 0, None, (ClassLabel.C,),
                    _streamed(lambda labels, num: zip(quartic_c_stream(num)))),
-        EngineInfo("closed", 1, None, ALL_LABELS,
-                   _pointwise(lambda labels, n: tuple(closed_form(label, n) for label in labels))),
-        EngineInfo("rootbasis", 1, None, ALL_LABELS,
-                   _pointwise(lambda labels, n: tuple(root_basis(label, n) for label in labels))),
-        EngineInfo("mod4", 1, None, ALL_LABELS,
-                   _pointwise(lambda labels, n: tuple(case_mod4(label, n) for label in labels))),
+        EngineInfo("closed", 1, None, ALL_LABELS, _pointwise(lambda n: closed_form_vector(n))),
+        EngineInfo("rootbasis", 1, None, ALL_LABELS, _pointwise(lambda n: root_basis_vector(n))),
+        EngineInfo("mod4", 1, None, ALL_LABELS, _pointwise(lambda n: case_mod4_vector(n))),
         EngineInfo("genfun", 0, None, ALL_LABELS,
                    _streamed(lambda labels, num: zip(*(gf_stream(gf_for_class(label), num) for label in labels)))),
     )
@@ -159,11 +154,10 @@ class CheckResult:
 def _agreement(name: str, reference: list[ClassVector], info: EngineInfo, lo: int, hi: int) -> CheckResult:
     """Compare an engine's rows against a reference sequence on [lo, hi]."""
     for n, row in enumerate(info.rows(info.labels, lo, hi), lo):
-        for label, got in zip(info.labels, row):
-            want = reference[n].component(label)
-            if got != want:
-                shown = f": {got} != {want}" if max(decimal_digits(got), decimal_digits(want)) <= FULL_DIGITS else ""
-                return CheckResult(name, False, f"mismatch at n={n} class {label.value}{shown}")
+        want = _pick(reference[n], info.labels)
+        if row != want:
+            label, got, expected = next(t for t in zip(info.labels, row, want) if t[1] != t[2])
+            return CheckResult(name, False, f"mismatch at n={n} class {label.value}: {brief(got)} != {brief(expected)}")
     return CheckResult(name, True, f"n = {lo}..{hi}")
 
 

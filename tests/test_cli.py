@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 import re
@@ -360,6 +361,24 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--max-n", "3")
         assert code == 2
         assert "max_n" in err
+
+    @pytest.mark.parametrize(
+        "bad_n, shown",
+        [(7, "1162320517 != 1162320516"), (120, "<171 digits> != <171 digits>")],
+    )
+    def test_mismatch_names_index_class_and_values(self, capsys, monkeypatch, bad_n, shown):
+        # mod4 with C one too large at a single index; a value past 40 digits shows by its size
+        real = closedform.case_mod4_vector
+
+        def off_by_one(n):
+            v = real(n)
+            return dataclasses.replace(v, c=v.c + 1) if n == bad_n else v
+
+        monkeypatch.setattr("triwords.engines.case_mod4_vector", off_by_one)
+        code, out, _ = run_cli(capsys, "validate", "--max-n", "120")
+        assert code == 1
+        assert f"FAIL  engine/mod4-vs-coupled: mismatch at n={bad_n} class C: {shown}\n" in out
+        assert "18/19 checks passed" in out
 
     def test_failure_exit_status(self, capsys, monkeypatch):
         from triwords.engines import CheckResult

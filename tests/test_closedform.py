@@ -6,13 +6,26 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triwords.closedform import X1, X2, X3, case_mod4, closed_form, root_basis
+from triwords.closedform import (
+    X1,
+    X2,
+    X3,
+    case_mod4,
+    case_mod4_vector,
+    closed_form,
+    closed_form_vector,
+    root_basis,
+    root_basis_vector,
+)
 from triwords.counting import ClassLabel, composition_sum
 from triwords.ring import ZERO
 from truth_table import TRUTH
 
 ROUTES = (closed_form, root_basis, case_mod4)
+VECTOR_ROUTES = (closed_form_vector, root_basis_vector, case_mod4_vector)
 
 
 class TestRoots:
@@ -67,6 +80,15 @@ class TestAgreement:
             for label in ClassLabel:
                 a = closed_form(label, n)
                 assert a == root_basis(label, n) == case_mod4(label, n)
+
+    @given(st.integers(min_value=1, max_value=20000))
+    @settings(max_examples=30, deadline=None)
+    def test_vector_routes_agree_at_random_n(self, n):
+        closed, roots, mod4 = (route(n) for route in VECTOR_ROUTES)
+        assert closed == roots == mod4
+        assert closed.n == n
+        for route, vector in zip(ROUTES, (closed, roots, mod4)):
+            assert tuple(route(label, n) for label in ClassLabel) == vector.as_tuple()
 
     def test_oscillation_vanishes_for_odd_n(self):
         for n in range(1, 40, 2):

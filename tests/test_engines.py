@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triwords import engines
 from triwords.counting import ClassLabel
 from triwords.digits import EXACT, LEAF_BITS, STR_BITS, brief, to_decimal
 from triwords.engines import (
@@ -25,6 +26,7 @@ from triwords.engines import (
     series,
 )
 from triwords.recurrence import quartic_c_stream
+from triwords.ring import AlgebraicQ3i
 from truth_table import TRUTH
 
 
@@ -149,6 +151,30 @@ class TestBench:
         _, coupled = bench_engine("coupled", 40)
         _, decoupled = bench_engine("decoupled", 40)
         assert coupled == decoupled
+
+    def test_rootbasis_takes_one_ring_power(self, monkeypatch):
+        # X3^n is X2^n's conjugate, and the four classes share the powers
+        exponents = []
+        power = AlgebraicQ3i.__pow__
+
+        def counted(self, exponent):
+            exponents.append(exponent)
+            return power(self, exponent)
+
+        monkeypatch.setattr(AlgebraicQ3i, "__pow__", counted)
+        bench_engine("rootbasis", 50)
+        assert exponents == [50]
+
+    @pytest.mark.parametrize(
+        "engine, route",
+        [("closed", "closed_form_vector"), ("rootbasis", "root_basis_vector"), ("mod4", "case_mod4_vector")],
+    )
+    def test_closed_forms_compute_one_vector_per_index(self, monkeypatch, engine, route):
+        indices = []
+        real = getattr(engines, route)
+        monkeypatch.setattr(engines, route, lambda n: indices.append(n) or real(n))
+        bench_engine(engine, 50)
+        assert indices == [50]
 
     def test_quartic_only_covers_c(self):
         _, values = bench_engine("quartic-c", 12)
