@@ -4,32 +4,37 @@ Every engine computes the same four integer sequences by a different
 route, so any disagreement, down to a single bit, is a bug in one of
 them.  The registry below records each engine's domain (minimum n, an
 upper bound for the brute-force enumerator, and which classes it covers)
-and its one route to the numbers: a stream of rows from n = 0, or a
-function of n that returns the class vector.  Values, series, bench
-timings and the validation report all read an engine through that route,
-in ints; a caller that only prints the values can ask for another number
-type, `num`, such as `decimal.Decimal`.  The report checks every engine
-against the coupled reference over its domain, the 27^n total identity,
-the characteristic-polynomial factorisation and the elimination-identity
-suite.
+and two routes to the numbers.  The point route, `at`, gives one n and
+serves `compute` and `bench`; coupled, decoupled, quartic-c and genfun
+take O(log n) big products there, not a walk from n = 0.  The stream
+route, `rows`, gives n = lo..hi and serves `table`, `bfile` and
+`validate`; those four engines stream from n = 0, the rest map `at` over
+n.  Rows are ints, or another number type `num`, such as `Decimal`, for a
+caller that only prints them.  The report checks every engine's rows, and
+each streaming engine's point route at n <= 8 and at its last n, against
+the coupled reference (whose point route the tests check), the 27^n total
+identity, the characteristic-polynomial factorisation and identity suite.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterator
 
 from .closedform import case_mod4_vector, closed_form_vector, root_basis_vector
 from .counting import BRUTE_FORCE_MAX_N, ClassLabel, ClassVector, brute_force_words, composition_sum
 from .digits import brief, decimal_digits  # decimal_digits is imported from here too
-from .genfun import gf_for_class, gf_stream
+from .genfun import gf_at, gf_for_class, gf_stream
 from .recurrence import (
     char_poly_check,
+    coupled_at,
     coupled_stream,
+    decoupled_at,
     decoupled_stream,
     identity_suite,
+    quartic_c,
     quartic_c_stream,
 )
 
@@ -45,8 +50,10 @@ class EngineDomainError(ValueError):
 Num = Callable[[int], Any]
 
 # An engine's rows: (labels, lo, hi, num=int) -> the values of those classes,
-# in label order and as num, for n = lo..hi.
+# in label order and as num, for n = lo..hi; its point route, (labels, n) ->
+# those values at n, as ints.
 Rows = Callable[..., Iterator[tuple]]
+At = Callable[[tuple[ClassLabel, ...], int], tuple[int, ...]]
 
 
 def _streamed(stream: Callable[[tuple[ClassLabel, ...], Num], Iterator[tuple]]) -> Rows:
@@ -58,20 +65,22 @@ def _pick(v: ClassVector, labels: tuple[ClassLabel, ...]) -> tuple[int, ...]:
     return tuple(map(v.component, labels))
 
 
-def _pointwise(point: Callable[[int], ClassVector]) -> Rows:
-    """Rows of an engine that computes one class vector at a time: map it over n, each int taken as num."""
-    return lambda labels, lo, hi, num=int: (tuple(map(num, _pick(point(n), labels))) for n in range(lo, hi + 1))
-
-
 @dataclass(frozen=True, slots=True)
 class EngineInfo:
     name: str
     min_n: int
     max_n: int | None
     labels: tuple[ClassLabel, ...]
-    rows: Rows
+    at: At
+    # the engine's own stream route; without one, rows maps at over n
+    stream: Rows | None = None
     # validation stops here even where the engine itself goes further
     check_max_n: int | None = None
+
+    def rows(self, labels: tuple[ClassLabel, ...], lo: int, hi: int, num: Num = int) -> Iterator[tuple]:
+        if self.stream is not None:
+            return self.stream(labels, lo, hi, num)
+        return (tuple(map(num, self.at(labels, n))) for n in range(lo, hi + 1))
 
 
 # The lambdas look their engine functions up by name at call time, so the
@@ -80,18 +89,21 @@ class EngineInfo:
 ENGINES: dict[str, EngineInfo] = {
     e.name: e
     for e in (
-        EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS, _pointwise(lambda n: brute_force_words(n))),
-        EngineInfo("compsum", 0, None, ALL_LABELS, _pointwise(lambda n: composition_sum(n)), check_max_n=300),
-        EngineInfo("coupled", 0, None, ALL_LABELS,
+        EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS, lambda labels, n: _pick(brute_force_words(n), labels)),
+        EngineInfo("compsum", 0, None, ALL_LABELS, lambda labels, n: _pick(composition_sum(n), labels),
+                   check_max_n=300),
+        EngineInfo("coupled", 0, None, ALL_LABELS, lambda labels, n: _pick(coupled_at(n), labels),
                    lambda labels, lo, hi, num=int: (_pick(v, labels) for v in islice(coupled_stream(num), lo, hi + 1))),
         EngineInfo("decoupled", 0, None, ALL_LABELS,
+                   lambda labels, n: tuple(decoupled_at(label, n) for label in labels),
                    _streamed(lambda labels, num: zip(*(decoupled_stream(label, num) for label in labels)))),
-        EngineInfo("quartic-c", 0, None, (ClassLabel.C,),
+        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), lambda labels, n: (quartic_c(n),),
                    _streamed(lambda labels, num: zip(quartic_c_stream(num)))),
-        EngineInfo("closed", 1, None, ALL_LABELS, _pointwise(lambda n: closed_form_vector(n))),
-        EngineInfo("rootbasis", 1, None, ALL_LABELS, _pointwise(lambda n: root_basis_vector(n))),
-        EngineInfo("mod4", 1, None, ALL_LABELS, _pointwise(lambda n: case_mod4_vector(n))),
+        EngineInfo("closed", 1, None, ALL_LABELS, lambda labels, n: _pick(closed_form_vector(n), labels)),
+        EngineInfo("rootbasis", 1, None, ALL_LABELS, lambda labels, n: _pick(root_basis_vector(n), labels)),
+        EngineInfo("mod4", 1, None, ALL_LABELS, lambda labels, n: _pick(case_mod4_vector(n), labels)),
         EngineInfo("genfun", 0, None, ALL_LABELS,
+                   lambda labels, n: tuple(gf_at(gf_for_class(label), n) for label in labels),
                    _streamed(lambda labels, num: zip(*(gf_stream(gf_for_class(label), num) for label in labels)))),
     )
 }
@@ -120,8 +132,7 @@ def check_domain(engine: str, n: int, label: ClassLabel | None = None) -> Engine
 
 def compute_value(engine: str, label: ClassLabel, n: int) -> int:
     """One class count by one engine; raises EngineDomainError when out of range."""
-    info = check_domain(engine, n, label)
-    return next(info.rows((label,), n, n))[0]
+    return check_domain(engine, n, label).at((label,), n)[0]
 
 
 def series(engine: str, max_n: int, num: Num = int) -> Iterator[ClassVector]:
@@ -152,12 +163,16 @@ class CheckResult:
 
 
 def _agreement(name: str, reference: list[ClassVector], info: EngineInfo, lo: int, hi: int) -> CheckResult:
-    """Compare an engine's rows against a reference sequence on [lo, hi]."""
-    for n, row in enumerate(info.rows(info.labels, lo, hi), lo):
+    """Compare an engine's rows on [lo, hi], and a streaming one's point route at n <= 8 and at hi, with a reference."""
+    checks = (("", n, row) for n, row in enumerate(info.rows(info.labels, lo, hi), lo))
+    if info.stream is not None:
+        checks = chain(checks, (("point route ", n, info.at(info.labels, n)) for n in (*range(lo, min(hi, 8) + 1), hi)))
+    for route, n, row in checks:
         want = _pick(reference[n], info.labels)
         if row != want:
             label, got, expected = next(t for t in zip(info.labels, row, want) if t[1] != t[2])
-            return CheckResult(name, False, f"mismatch at n={n} class {label.value}: {brief(got)} != {brief(expected)}")
+            detail = f"{route}mismatch at n={n} class {label.value}: {brief(got)} != {brief(expected)}"
+            return CheckResult(name, False, detail)
     return CheckResult(name, True, f"n = {lo}..{hi}")
 
 
@@ -208,6 +223,6 @@ def bench_engine(engine: str, n: int) -> tuple[float, dict[ClassLabel, int]]:
     """Wall-clock time and values for computing every supported class at n, in one pass."""
     info = check_domain(engine, n)
     start = time.perf_counter()
-    row = next(info.rows(info.labels, n, n))
+    row = info.at(info.labels, n)
     elapsed = time.perf_counter() - start
     return elapsed, dict(zip(info.labels, row))

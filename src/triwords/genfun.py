@@ -12,7 +12,8 @@ Polynomials are stored as ascending coefficient tuples with no trailing
 zeros.  Both factorings of the shared denominator expand, after sign
 normalisation, to 1 - 27x + 27x^2 - 729x^3, whose reversed coefficients
 are exactly the shared third-order recurrence; coefficient extraction
-from these functions is therefore a sixth independent compute engine.
+from these functions is therefore a sixth independent compute engine:
+gf_stream reads coefficients in order, gf_at one by Bostan-Mori halving.
 """
 
 from __future__ import annotations
@@ -120,3 +121,21 @@ def gf_coefficients(gf: RationalGF, N: int) -> list[int]:
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     return list(islice(gf_stream(gf), N + 1))
+
+
+def gf_at(gf: RationalGF, n: int) -> int:
+    """Taylor coefficient c_n of a rational generating function P/Q, in O(log n) products (Bostan-Mori).
+
+    P/Q = P(x)Q(-x) / V(x^2) with V(x^2) = Q(x)Q(-x), so c_n is c_(n//2) of
+    the even (n even) or odd part of P(x)Q(-x), over V, down to c_0 = P(0)/Q(0).
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    p, q = gf.numerator, gf.denominator
+    if q[0] not in (1, -1):
+        raise NonUnitConstantTerm(f"denominator constant term is {q[0]}, need +-1")
+    while n:
+        q_minus = tuple(-c if k % 2 else c for k, c in enumerate(q))
+        p, q = poly_mul(p, q_minus)[n % 2 :: 2], poly_mul(q, q_minus)[::2]
+        n //= 2
+    return p[0] * q[0] if p else 0  # dividing by q_0 = +-1

@@ -22,17 +22,20 @@ third-order recurrence is identified in the first place.
 
 This module writes each recurrence once, as its seed values and one step
 over a window of the latest values; a single runner, _recurrence, iterates
-them all into streams from n = 0 (the engines take the first N + 1 items or
-item n).  A stream takes the number type of its seeds, `num`: int by
-default, or `decimal.Decimal` for output, whose text is linear time (the
-caller then reads it in `digits.EXACT`).  The steps only add and multiply
-by small ints, so they are the same for both.  The module also adds a
-numeric identity suite for every intermediate elimination identity, all in
-exact integer arithmetic.
+them all into streams from n = 0, for runs of rows.  A stream takes the
+number type of its seeds, `num`: int by default, or `decimal.Decimal` for
+output, whose text is linear time (the caller then reads it in
+`digits.EXACT`).  The steps only add and multiply by small ints, so they
+are the same for both.  Item n alone comes from a point route in O(log n)
+big products: coupled_at powers the transition matrix, and recurrence_at
+reduces t^(n-1) modulo the characteristic polynomial (Fiduccia).  The
+module also adds a numeric identity suite for every intermediate
+elimination identity, all in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -68,6 +71,11 @@ THIRD_ORDER_SEEDS: dict[ClassLabel, tuple[int, int, int, int]] = {
 # third-order relation first holds at n = 4, so the fourth-order one first
 # holds at n = 5 and C(4) = 58806 must be part of the seed data.
 QUARTIC_SEEDS: tuple[int, int, int, int, int] = (0, 0, 90, 2268, 58806)
+
+# The monic characteristic polynomials, ascending: t^3 - 27(t^2 - t + 27),
+# shared by A, B and C, and C's quartic, (t + 1) times it.
+CUBIC: tuple[int, ...] = (-729, 27, -27, 1)
+QUARTIC: tuple[int, ...] = (-729, -702, 0, -26, 1)
 
 
 class IdentityViolation(Exception):
@@ -124,11 +132,50 @@ def quartic_c_stream(num: Callable[[int], T] = int) -> Iterator[T]:
     return _recurrence(tuple(map(num, QUARTIC_SEEDS)), lambda w: 26 * w[-1] + 702 * w[-3] + 729 * w[-4])
 
 
-def _nth(stream: Iterator[int], n: int) -> int:
-    """Item n of a stream, advancing it no further."""
+def _matmul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*y)) for row in x)
+
+
+def coupled_at(n: int) -> ClassVector:
+    """The class vector at n: TRANSITION_MATRIX^n applied to the seed (1, 0, 0, 0), by binary powering."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return next(islice(stream, n, None))
+    power = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    for bit in bin(n)[2:]:
+        power = _matmul(power, power)
+        if bit == "1":
+            power = _matmul(power, TRANSITION_MATRIX)
+    return ClassVector(n, *(row[0] for row in power))
+
+
+def recurrence_at(char_poly: Sequence[int], seeds: Sequence[int], n: int) -> int:
+    """Item n of a recurrence given its seeds x(0..d), in O(log n) products (Fiduccia).
+
+    char_poly is the monic characteristic polynomial, ascending, of degree
+    d; the recurrence holds from n = d + 1, and x(0) is off it.  So with
+    t^(n-1) mod char_poly = sum c_k t^k, x(n) = sum c_k x(k + 1).
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n == 0:
+        return seeds[0]
+    d = len(char_poly) - 1
+    residue: list[int] = [1]
+    for bit in bin(n - 1)[2:]:
+        # Square, times t on a 1 bit, then reduce by t^d = -(p_0 + p_1 t + ... + p_(d-1) t^(d-1)).
+        residue = [*poly_mul((0,) * int(bit) + tuple(residue), residue)]
+        while len(residue) > d:
+            top = residue.pop()
+            for j, p in enumerate(char_poly[:-1], len(residue) - d):
+                residue[j] -= top * p
+    return sum(map(operator.mul, residue, seeds[1:]))
+
+
+def decoupled_at(label: ClassLabel, n: int) -> int:
+    """C_label(n) by the class's own decoupled recurrence; D's is t - 27 with D(1) = 18."""
+    if label is ClassLabel.D:
+        return recurrence_at((-27, 1), (0, 18), n)
+    return recurrence_at(CUBIC, THIRD_ORDER_SEEDS[label], n)
 
 
 def coupled_sequence(N: int) -> list[ClassVector]:
@@ -142,17 +189,17 @@ def decoupled_third_order(label: ClassLabel, n: int) -> int:
     """Class count via the shared third-order recurrence (classes A, B, C)."""
     if label not in THIRD_ORDER_SEEDS:
         raise ValueError("third-order engine covers classes A, B, C; use decoupled_d for D")
-    return _nth(decoupled_stream(label), n)
+    return decoupled_at(label, n)
 
 
 def decoupled_d(n: int) -> int:
     """Class count for D: D(n) = 27*D(n-1) with D(1) = 18, and D(0) = 0."""
-    return _nth(decoupled_stream(ClassLabel.D), n)
+    return decoupled_at(ClassLabel.D, n)
 
 
 def quartic_c(n: int) -> int:
     """Class count for C via its fourth-order recurrence (see quartic_c_stream)."""
-    return _nth(quartic_c_stream(), n)
+    return recurrence_at(QUARTIC, QUARTIC_SEEDS, n)
 
 
 def char_poly_check() -> bool:
@@ -161,9 +208,7 @@ def char_poly_check() -> bool:
     Expands the right-hand side over exact integer coefficient lists and
     compares coefficient-by-coefficient with the left.
     """
-    quartic = (-729, -702, 0, -26, 1)  # ascending powers
-    cubic = (-729, 27, -27, 1)
-    return poly_mul((1, 1), cubic) == quartic
+    return poly_mul((1, 1), CUBIC) == QUARTIC
 
 
 # Elimination identities tying the four sequences together.  Each entry is

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triwords import engines
+from triwords.closedform import case_mod4_vector
 from triwords.counting import ClassLabel
 from triwords.digits import EXACT, LEAF_BITS, STR_BITS, brief, to_decimal
 from triwords.engines import (
@@ -129,7 +130,51 @@ class TestMemory:
         assert peak < 2**20
 
 
+# The engines whose point route is their own, not their stream read at one index.
+POINT_ROUTE_ENGINES = ("coupled", "decoupled", "quartic-c", "genfun")
+
+
+class TestPointRoutes:
+    @given(st.sampled_from(POINT_ROUTE_ENGINES), st.integers(min_value=0, max_value=2000))
+    @settings(max_examples=40, deadline=None)
+    def test_point_route_matches_stream(self, engine, n):
+        info = engines.ENGINES[engine]
+        assert info.at(info.labels, n) == next(info.stream(info.labels, n, n))
+
+    @pytest.mark.parametrize("n", [10_000, 30_000])
+    @pytest.mark.parametrize("engine", POINT_ROUTE_ENGINES)
+    def test_point_route_matches_mod4_deep(self, engine, n):
+        info = engines.ENGINES[engine]
+        want = case_mod4_vector(n)
+        assert info.at(info.labels, n) == tuple(map(want.component, info.labels))
+
+    def test_values_and_bench_never_walk_a_stream(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("a point request walked a stream")
+
+        for stream in ("coupled_stream", "decoupled_stream", "quartic_c_stream", "gf_stream"):
+            monkeypatch.setattr(engines, stream, walked)
+        for engine in POINT_ROUTE_ENGINES:
+            labels = engines.ENGINES[engine].labels
+            for n in range(9):
+                want = {label: value for label, value in zip(ClassLabel, TRUTH[n]) if label in labels}
+                assert bench_engine(engine, n)[1] == want
+                assert {label: compute_value(engine, label, n) for label in want} == want
+
+
 class TestValidation:
+    def test_point_route_mismatch_names_index_and_class(self, monkeypatch):
+        real = engines.decoupled_at
+
+        def off_by_one(label, n):
+            return real(label, n) + (n == 40 and label is ClassLabel.B)
+
+        monkeypatch.setattr(engines, "decoupled_at", off_by_one)
+        (result,) = [r for r in run_validation(40) if r.name == "engine/decoupled-vs-coupled"]
+        want = compute_value("coupled", ClassLabel.B, 40)
+        assert not result.passed
+        assert result.detail == f"point route mismatch at n=40 class B: {brief(want + 1)} != {brief(want)}"
+
     def test_all_checks_pass(self):
         results = run_validation(10)
         assert results

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 from triwords.counting import ClassLabel, composition_sum
-from triwords.genfun import NonUnitConstantTerm, RationalGF, gf_coefficients, gf_for_class, poly_mul, poly_trim
+from triwords.genfun import (
+    NonUnitConstantTerm,
+    RationalGF,
+    gf_at,
+    gf_coefficients,
+    gf_for_class,
+    gf_stream,
+    poly_mul,
+    poly_trim,
+)
 from truth_table import TRUTH
 
 
@@ -91,6 +102,18 @@ class TestRationalGF:
     def test_non_unit_constant_term(self):
         with pytest.raises(NonUnitConstantTerm):
             gf_coefficients(RationalGF((1,), (2, 1)), 3)
+
+    def test_point_route_non_unit_constant_term(self):
+        with pytest.raises(NonUnitConstantTerm):
+            gf_at(RationalGF((1,), (2, 1)), 3)
+
+    @pytest.mark.parametrize(
+        "gf",
+        [RationalGF((-1, 24, -9, 162), (-1, 27, -27, 729)), RationalGF((1, 2, 3, 4, 5, 6), (-1, 1, 5))],
+        ids=["class-a-unnormalised", "numerator-past-denominator"],
+    )
+    def test_point_route_with_minus_one_constant_term_matches_stream(self, gf):
+        assert [gf_at(gf, n) for n in range(120)] == list(islice(gf_stream(gf), 120))
 
     def test_minus_one_constant_term_allowed(self):
         # extraction from the un-normalised orientation must give the same stream
