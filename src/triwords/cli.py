@@ -21,13 +21,13 @@ import argparse
 import hashlib
 import os
 import sys
-from collections import deque
 from decimal import Decimal, localcontext
 from typing import Iterator
 
 from .counting import ArityMismatch, ClassLabel, NotDivisibleBy3
-from .digits import EXACT, to_decimal
+from .digits import EXACT, decimal_digits, to_decimal
 from .engines import (
+    ALL_LABELS,
     ENGINE_IDS,
     EngineDomainError,
     bench_engine,
@@ -90,10 +90,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    def table_rows() -> Iterator[tuple]:
-        return ((v.n, v.a, v.b, v.c, v.d, v.total) for v in series(args.engine, args.max_n, Decimal))
     # series() refuses a bad request on the call, before any output.
-    rows = table_rows()
+    rows = ((v.n, v.a, v.b, v.c, v.d, v.total) for v in series(args.engine, args.max_n, Decimal))
     if args.format == "csv":
         # Every cell is digits, so no csv quoting ever applies.
         print(",".join(TABLE_HEADER))
@@ -110,11 +108,12 @@ def _cmd_table(args) -> int:
             separator = ",\n"
         print("\n  ]\n}")
     else:
-        # Counts never fall as n grows (appending 111 keeps a word's class), so a first pass's last row is the widest.
-        (last,) = deque(rows, maxlen=1)
-        widths = [max(len(h), len(str(cell))) for h, cell in zip(TABLE_HEADER, last)]
+        # Counts never fall as n grows (appending 111 keeps a word's class), so the row at max_n is the widest.
+        values = check_domain(args.engine, args.max_n).at(ALL_LABELS, args.max_n)
+        last = (args.max_n, *values, sum(values))
+        widths = [max(len(h), decimal_digits(cell)) for h, cell in zip(TABLE_HEADER, last)]
         print("  ".join(h.rjust(w) for h, w in zip(TABLE_HEADER, widths)))
-        for r in table_rows():
+        for r in rows:
             print("  ".join(str(cell).rjust(w) for cell, w in zip(r, widths)))
     return 0
 

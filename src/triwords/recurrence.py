@@ -21,16 +21,17 @@ spurious (it cannot match the initial values), which is how the shared
 third-order recurrence is identified in the first place.
 
 This module writes each recurrence once, as its seed values and one step
-over a window of the latest values; a single runner, _recurrence, iterates
-them all into streams from n = 0, for runs of rows.  A stream takes the
-number type of its seeds, `num`: int by default, or `decimal.Decimal` for
-output, whose text is linear time (the caller then reads it in
-`digits.EXACT`).  The steps only add and multiply by small ints, so they
-are the same for both.  Item n alone comes from a point route in O(log n)
-big products: coupled_at powers the transition matrix, and recurrence_at
-reduces t^(n-1) modulo the characteristic polynomial (Fiduccia).  The
-module also adds a numeric identity suite for every intermediate
-elimination identity, all in exact integer arithmetic.
+over a window of the latest values (DECOUPLED, QUARTIC_C); a single
+runner, _recurrence, iterates them all into streams from n = 0, for runs
+of rows.  A stream takes the number type of its seeds, `num`: int by
+default, or `decimal.Decimal` for output, whose text is linear time (the
+caller then reads it in `digits.EXACT`).  The steps only add and multiply
+by small ints, so they are the same for both.  Item n alone comes from a
+point route in O(log n) big products: coupled_at powers the transition
+matrix, and recurrence_at reduces t^(n-1) modulo the characteristic
+polynomial (Fiduccia), which char_poly reads off the step, as
+char_poly_check does.  The module also adds a numeric identity suite for
+every intermediate elimination identity, all in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -56,26 +57,28 @@ TRANSITION_MATRIX: tuple[tuple[int, int, int, int], ...] = (
     (18, 18, 18, 18),
 )
 
-# Initial values x(0..3) of the shared third-order recurrence, per class.
-# The recurrence itself only applies from n = 4: the n = 0 value sits off
-# the recurrence's backward extension (which would need A(0) = 7/9 etc.).
-THIRD_ORDER_SEEDS: dict[ClassLabel, tuple[int, int, int, int]] = {
-    ClassLabel.A: (1, 3, 63, 2187),
-    ClassLabel.B: (0, 6, 90, 2106),
-    ClassLabel.C: (0, 0, 90, 2268),
+# Each recurrence is written once, as (seeds, step): the seeds x(0..d), and
+# a step from a window of the latest values to the next, run from n = d + 1.
+Recurrence = tuple[Sequence[int], Callable[[Sequence[T]], T]]
+
+
+def _cubic_step(w: Sequence[T]) -> T:
+    """x(n) = 27*(x(n-1) - x(n-2) + 27*x(n-3)), shared by A, B and C."""
+    return 27 * (w[-1] - w[-2] + 27 * w[-3])
+
+
+# The cubic holds from n = 4: x(0) sits off its backward extension (which
+# would need A(0) = 7/9 etc.).  D(n) = 27*D(n-1) holds from n = 2.
+DECOUPLED: dict[ClassLabel, Recurrence] = {
+    ClassLabel.A: ((1, 3, 63, 2187), _cubic_step),
+    ClassLabel.B: ((0, 6, 90, 2106), _cubic_step),
+    ClassLabel.C: ((0, 0, 90, 2268), _cubic_step),
+    ClassLabel.D: ((0, 18), lambda w: 27 * w[-1]),
 }
 
-# Initial values C(0..4) of the fourth-order engine for class C.  Because
-# the fourth-order relation is (x + 1) times the third-order one, its
-# residual at n is the sum of two consecutive third-order residuals; the
-# third-order relation first holds at n = 4, so the fourth-order one first
-# holds at n = 5 and C(4) = 58806 must be part of the seed data.
-QUARTIC_SEEDS: tuple[int, int, int, int, int] = (0, 0, 90, 2268, 58806)
-
-# The monic characteristic polynomials, ascending: t^3 - 27(t^2 - t + 27),
-# shared by A, B and C, and C's quartic, (t + 1) times it.
-CUBIC: tuple[int, ...] = (-729, 27, -27, 1)
-QUARTIC: tuple[int, ...] = (-729, -702, 0, -26, 1)
+# C's quartic, (t + 1) times the cubic: its residual at n is the sum of two
+# cubic residuals, so it first holds at n = 5 and C(4) = 58806 is a seed.
+QUARTIC_C: Recurrence = ((0, 0, 90, 2268, 58806), lambda w: 26 * w[-1] + 702 * w[-3] + 729 * w[-4])
 
 
 class IdentityViolation(Exception):
@@ -90,15 +93,8 @@ class IdentityViolation(Exception):
 
 def coupled_step(v: ClassVector) -> ClassVector:
     """Advance the four class counts from index n to n + 1."""
-    ra, rb, rc, rd = TRANSITION_MATRIX
     vals = v.as_tuple()
-    return ClassVector(
-        v.n + 1,
-        sum(m * x for m, x in zip(ra, vals)),
-        sum(m * x for m, x in zip(rb, vals)),
-        sum(m * x for m, x in zip(rc, vals)),
-        sum(m * x for m, x in zip(rd, vals)),
-    )
+    return ClassVector(v.n + 1, *(sum(map(operator.mul, row, vals)) for row in TRANSITION_MATRIX))
 
 
 def _recurrence(seeds: Sequence[T], step: Callable[[deque[T]], T]) -> Iterator[T]:
@@ -118,18 +114,14 @@ def coupled_stream(num: Callable[[int], T] = int) -> Iterator[ClassVector]:
 
 def decoupled_stream(label: ClassLabel, num: Callable[[int], T] = int) -> Iterator[T]:
     """C_label(n) for n = 0, 1, 2, ... by the class's own decoupled recurrence, seeded as num."""
-    if label is ClassLabel.D:
-        return _recurrence(tuple(map(num, (0, 18))), lambda w: 27 * w[-1])
-    return _recurrence(tuple(map(num, THIRD_ORDER_SEEDS[label])), lambda w: 27 * (w[-1] - w[-2] + 27 * w[-3]))
+    seeds, step = DECOUPLED[label]
+    return _recurrence(tuple(map(num, seeds)), step)
 
 
 def quartic_c_stream(num: Callable[[int], T] = int) -> Iterator[T]:
-    """C_C(n) for n = 0, 1, 2, ... by the fourth-order recurrence, seeded as num.
-
-    x(n) = 26*x(n-1) + 702*x(n-3) + 729*x(n-4), applied for n >= 5 on top
-    of the seed values C(0..4) (see QUARTIC_SEEDS for why five seeds).
-    """
-    return _recurrence(tuple(map(num, QUARTIC_SEEDS)), lambda w: 26 * w[-1] + 702 * w[-3] + 729 * w[-4])
+    """C_C(n) for n = 0, 1, 2, ... by the fourth-order recurrence, seeded as num."""
+    seeds, step = QUARTIC_C
+    return _recurrence(tuple(map(num, seeds)), step)
 
 
 def _matmul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -148,34 +140,43 @@ def coupled_at(n: int) -> ClassVector:
     return ClassVector(n, *(row[0] for row in power))
 
 
-def recurrence_at(char_poly: Sequence[int], seeds: Sequence[int], n: int) -> int:
-    """Item n of a recurrence given its seeds x(0..d), in O(log n) products (Fiduccia).
+def char_poly(seeds: Sequence[int], step: Callable[[Sequence[int]], int]) -> tuple[int, ...]:
+    """The monic characteristic polynomial, ascending, of the recurrence (seeds, step).
 
-    char_poly is the monic characteristic polynomial, ascending, of degree
-    d; the recurrence holds from n = d + 1, and x(0) is off it.  So with
-    t^(n-1) mod char_poly = sum c_k t^k, x(n) = sum c_k x(k + 1).
+    The step is linear, so on the k-th unit window of d = len(seeds) - 1
+    values it gives the coefficient of x(n - d + k).
+    """
+    d = len(seeds) - 1
+    return (*(-step(tuple(int(j == k) for j in range(d))) for k in range(d)), 1)
+
+
+def recurrence_at(seeds: Sequence[int], step: Callable[[Sequence[int]], int], n: int) -> int:
+    """Item n of the recurrence (seeds, step), in O(log n) products (Fiduccia).
+
+    The recurrence holds from n = d + 1, d = len(seeds) - 1, and x(0) is
+    off it.  So with t^(n-1) mod char_poly(seeds, step) = sum c_k t^k,
+    x(n) = sum c_k x(k + 1).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return seeds[0]
-    d = len(char_poly) - 1
+    poly = char_poly(seeds, step)
+    d = len(poly) - 1
     residue: list[int] = [1]
     for bit in bin(n - 1)[2:]:
         # Square, times t on a 1 bit, then reduce by t^d = -(p_0 + p_1 t + ... + p_(d-1) t^(d-1)).
         residue = [*poly_mul((0,) * int(bit) + tuple(residue), residue)]
         while len(residue) > d:
             top = residue.pop()
-            for j, p in enumerate(char_poly[:-1], len(residue) - d):
+            for j, p in enumerate(poly[:-1], len(residue) - d):
                 residue[j] -= top * p
     return sum(map(operator.mul, residue, seeds[1:]))
 
 
 def decoupled_at(label: ClassLabel, n: int) -> int:
-    """C_label(n) by the class's own decoupled recurrence; D's is t - 27 with D(1) = 18."""
-    if label is ClassLabel.D:
-        return recurrence_at((-27, 1), (0, 18), n)
-    return recurrence_at(CUBIC, THIRD_ORDER_SEEDS[label], n)
+    """C_label(n) by the class's own decoupled recurrence."""
+    return recurrence_at(*DECOUPLED[label], n)
 
 
 def coupled_sequence(N: int) -> list[ClassVector]:
@@ -187,7 +188,7 @@ def coupled_sequence(N: int) -> list[ClassVector]:
 
 def decoupled_third_order(label: ClassLabel, n: int) -> int:
     """Class count via the shared third-order recurrence (classes A, B, C)."""
-    if label not in THIRD_ORDER_SEEDS:
+    if label is ClassLabel.D:
         raise ValueError("third-order engine covers classes A, B, C; use decoupled_d for D")
     return decoupled_at(label, n)
 
@@ -199,16 +200,16 @@ def decoupled_d(n: int) -> int:
 
 def quartic_c(n: int) -> int:
     """Class count for C via its fourth-order recurrence (see quartic_c_stream)."""
-    return recurrence_at(QUARTIC, QUARTIC_SEEDS, n)
+    return recurrence_at(*QUARTIC_C, n)
 
 
 def char_poly_check() -> bool:
     """Verify x^4 - 26x^3 - 702x - 729 = (x + 1)(x^3 - 27(x^2 - x + 27)).
 
-    Expands the right-hand side over exact integer coefficient lists and
-    compares coefficient-by-coefficient with the left.
+    Reads both off the steps that C's streams and point routes run, and
+    compares the expanded right-hand side with the left coefficient by coefficient.
     """
-    return poly_mul((1, 1), CUBIC) == QUARTIC
+    return poly_mul((1, 1), char_poly(*DECOUPLED[ClassLabel.C])) == char_poly(*QUARTIC_C)
 
 
 # Elimination identities tying the four sequences together.  Each entry is

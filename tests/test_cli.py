@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from triwords import closedform
+from triwords import cli, closedform
 from triwords.cli import BROKEN_PIPE, OEIS_SEQUENCES, bfile_lines, main
 from triwords.closedform import case_mod4
 from triwords.counting import ClassLabel
@@ -198,6 +198,23 @@ class TestTableFormats:
         assert _table_ints(fmt, out) == want
         if fmt == "table":
             assert len({len(line) for line in out.splitlines()}) == 1
+
+    @pytest.mark.parametrize("engine, max_n", [("coupled", 300), ("decoupled", 300), ("genfun", 300),
+                                               ("compsum", 30), ("brute", 5)])
+    def test_aligned_table_reads_one_stream(self, capsys, monkeypatch, engine, max_n):
+        # the widths come from the point route at max_n, so the rows are read once
+        calls = []
+        real = cli.series
+
+        def counting_series(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "series", counting_series)
+        code, out, _ = run_cli(capsys, "table", "--max-n", str(max_n), "--engine", engine)
+        assert code == 0
+        assert len(calls) == 1
+        assert out == _expected_table(engine, max_n, "table")
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     @pytest.mark.parametrize(

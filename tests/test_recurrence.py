@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwords.counting import ClassLabel, ClassVector, composition_sum
 from triwords.recurrence import (
+    DECOUPLED,
     IDENTITIES,
+    QUARTIC_C,
     TRANSITION_MATRIX,
     IdentityViolation,
+    _recurrence,
+    char_poly,
     char_poly_check,
     coupled_sequence,
     coupled_step,
@@ -18,6 +25,7 @@ from triwords.recurrence import (
     decoupled_third_order,
     identity_suite,
     quartic_c,
+    recurrence_at,
 )
 from truth_table import TRUTH
 
@@ -164,6 +172,29 @@ class TestCharPoly:
 
     def test_cubic_root_27(self):
         assert 27**3 - 27 * (27**2 - 27 + 27) == 0
+
+
+class TestCharPolyFromStep:
+    def test_shipped_steps(self):
+        for label in (ClassLabel.A, ClassLabel.B, ClassLabel.C):
+            assert char_poly(*DECOUPLED[label]) == (-729, 27, -27, 1)
+        assert char_poly(*QUARTIC_C) == (-729, -702, 0, -26, 1)
+        assert char_poly(*DECOUPLED[ClassLabel.D]) == (-27, 1)
+
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_fiduccia_matches_iteration(self, low, data):
+        # a random monic polynomial (*low, 1) of degree d and d + 1 random
+        # seeds; the step is built from the coefficients, not read off them
+        d = len(low)
+        seeds = tuple(data.draw(st.lists(st.integers(-50, 50), min_size=d + 1, max_size=d + 1)))
+
+        def step(w):
+            return -sum(p * w[k - d] for k, p in enumerate(low))
+
+        assert char_poly(seeds, step) == (*low, 1)
+        want = list(islice(_recurrence(seeds, step), 301))
+        assert [recurrence_at(seeds, step, n) for n in range(301)] == want
 
 
 class TestEngineEquivalence:
