@@ -18,7 +18,6 @@ CPython's lowest int-to-str cap, so no command touches that cap.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from decimal import Decimal, localcontext
@@ -139,6 +138,10 @@ def _value_column(rendered: dict[ClassLabel, str]) -> str:
     labelled = ",".join(f"{label.value}={s}" for label, s in rendered.items())
     if len(labelled) <= 60:
         return labelled
+    # Imported here, the one place that hashes: hashlib loads OpenSSL's
+    # libcrypto, which would add about 3.5 MB to every command's peak memory.
+    import hashlib
+
     joined = ",".join(rendered.values())
     return "blake2b:" + hashlib.blake2b(joined.encode(), digest_size=8).hexdigest()
 
@@ -197,6 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command on argv (default sys.argv[1:]) and return its exit status.
+
+    Tests call this in process, so process set-up, such as freezing the
+    garbage collector, belongs to the process entry, `triwords.__main__.run`.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -221,7 +229,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

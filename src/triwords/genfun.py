@@ -123,11 +123,23 @@ def gf_coefficients(gf: RationalGF, N: int) -> list[int]:
     return list(islice(gf_stream(gf), N + 1))
 
 
+def _half_product(p, q, parity: int, terms: int) -> IntPolynomial:
+    """The first `terms` coefficients of x^parity, x^(parity + 2), ... in p(x)q(-x)."""
+    q_minus = [-c if j % 2 else c for j, c in enumerate(q)]
+    last = min(len(p) + len(q) - 2, parity + 2 * (terms - 1))
+    return tuple(
+        sum(p[i] * q_minus[k - i] for i in range(max(0, k - len(q) + 1), min(k, len(p) - 1) + 1))
+        for k in range(parity, last + 1, 2)
+    )
+
+
 def gf_at(gf: RationalGF, n: int) -> int:
     """Taylor coefficient c_n of a rational generating function P/Q, in O(log n) products (Bostan-Mori).
 
     P/Q = P(x)Q(-x) / V(x^2) with V(x^2) = Q(x)Q(-x), so c_n is c_(n//2) of
     the even (n even) or odd part of P(x)Q(-x), over V, down to c_0 = P(0)/Q(0).
+    Only the coefficients that can reach c_(n//2) are computed: the half of
+    each product of the right parity, up to degree n//2.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -135,7 +147,7 @@ def gf_at(gf: RationalGF, n: int) -> int:
     if q[0] not in (1, -1):
         raise NonUnitConstantTerm(f"denominator constant term is {q[0]}, need +-1")
     while n:
-        q_minus = tuple(-c if k % 2 else c for k, c in enumerate(q))
-        p, q = poly_mul(p, q_minus)[n % 2 :: 2], poly_mul(q, q_minus)[::2]
+        terms = n // 2 + 1
+        p, q = _half_product(p, q, n % 2, terms), _half_product(q, q, 0, terms)
         n //= 2
     return p[0] * q[0] if p else 0  # dividing by q_0 = +-1

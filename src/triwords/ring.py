@@ -2,10 +2,12 @@
 
 Elements are stored in the basis (1, sqrt3, i, i*sqrt3) with rational
 coordinates, so every element has exactly one representation and equality
-is coordinate equality.  A coordinate is an int or a Fraction, kept as
-given; Python makes 3 == Fraction(3) with equal hashes, so equal values
-compare and hash equal whichever type they hold, and integer work (the
-powers of 3*sqrt3*i, say) stays in plain ints.  The multiplication table is
+is coordinate equality.  A coordinate is any `numbers.Rational`, such as an
+int or a `fractions.Fraction`, kept as given; Python makes 3 == Fraction(3)
+with equal hashes, so equal values compare and hash equal whichever type
+they hold.  The engine paths use ints only, since the closed forms clear
+their denominators, so this module never imports `fractions`.  The
+multiplication table is
 
     sqrt3 * sqrt3 = 3          i * i = -1
     sqrt3 * i     = i*sqrt3    (i*sqrt3) * (i*sqrt3) = -3
@@ -19,7 +21,7 @@ them, with no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 
 from .digits import brief
 
@@ -28,12 +30,12 @@ class NotRationalInteger(ValueError):
     """Raised when an element expected to be a plain integer is not one."""
 
 
-RationalLike = int | Fraction
+RationalLike = Rational
 
 
 @dataclass(frozen=True, slots=True)
 class AlgebraicQ3i:
-    """An element a + b*sqrt3 + c*i + d*i*sqrt3 with int or Fraction coordinates."""
+    """An element a + b*sqrt3 + c*i + d*i*sqrt3 with rational (int, Fraction, ...) coordinates."""
 
     a: RationalLike = 0
     b: RationalLike = 0
@@ -119,7 +121,7 @@ class AlgebraicQ3i:
 def _promote(value: AlgebraicQ3i | RationalLike) -> AlgebraicQ3i | None:
     if isinstance(value, AlgebraicQ3i):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Rational):
         return AlgebraicQ3i(value)
     return None
 

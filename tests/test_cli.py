@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
+import hashlib
 import json
 import os
 import re
@@ -441,6 +443,16 @@ class TestBench:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_long_values_print_their_digest(self, capsys):
+        # Past 60 characters the value column is the blake2b digest of the
+        # classes' decimal strings, joined by commas in class order.
+        strings = [to_decimal(compute_value("coupled", label, 20)) for label in ClassLabel]
+        assert len(",".join(f"{label.value}={s}" for label, s in zip(ClassLabel, strings))) > 60
+        digest = "blake2b:" + hashlib.blake2b(",".join(strings).encode(), digest_size=8).hexdigest()
+        code, out, _ = run_cli(capsys, "bench", "--max-n", "20", "--engines", "coupled,mod4,genfun")
+        assert code == 0
+        assert [row.split()[-1] for row in out.splitlines()[1:]] == [digest] * 3
+
 
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
@@ -451,6 +463,65 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 3\n2 63\n3 2187\n4 59535\n"
+
+
+def test_usage_error_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "triwords", "compute", "--class", "A", "--n", "-1"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(r"error: .+\n", proc.stderr)
+
+
+def test_script_and_module_share_the_process_entry():
+    scripts = re.search(r"(?ms)^\[project\.scripts\]\n(.*?)^\[", (ROOT / "pyproject.toml").read_text()).group(1)
+    assert scripts.strip() == 'triwords = "triwords.__main__:run"'
+
+
+def test_only_the_process_entry_freezes(capsys, monkeypatch):
+    # main runs in process under tests and tools, so the collector freeze
+    # belongs to the process entry alone.
+    from triwords import __main__ as entry
+
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(True))
+    assert main(["compute", "--class", "A", "--n", "3"]) == 0
+    assert freezes == []
+    monkeypatch.setattr(sys, "argv", ["triwords", "compute", "--class", "A", "--n", "3"])
+    assert entry.run() == 0
+    assert freezes == [True]
+    assert capsys.readouterr().out == "2187\n2187\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--class", "A", "--n", "5"],
+        ["table", "--format", "csv", "--max-n", "5"],
+        ["bfile", "A391468", "--max-n", "5"],
+        ["validate", "--max-n", "4"],
+    ],
+    ids=["compute", "table-csv", "bfile", "validate"],
+)
+def test_lean_start(argv):
+    # Only bench hashes, so no other command loads OpenSSL through hashlib;
+    # no command loads fractions.  -S keeps site's own imports out of the list.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "triwords", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "triwords.cli" in imported
+    assert not imported & {"hashlib", "_hashlib", "fractions"}
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
