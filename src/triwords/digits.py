@@ -1,9 +1,13 @@
 """Decimal text of big integers: full renderings, digit counts and short forms.
 
-`to_decimal` renders one int in full.  CPython's `str(int)` takes time
-quadratic in the digit count before 3.12, and the paper's counts have
-about 1.43·n digits, so a value at n = 3·10⁵ spends seconds in `str()`
-after milliseconds of arithmetic.  Past STR_BITS `to_decimal` converts by
+CPython's `str(int)` takes time quadratic in the digit count before 3.12,
+and the paper's counts have about 1.43·n digits, so a value at n = 3·10⁵
+would spend seconds in `str()` after milliseconds of arithmetic.  So the
+CLI computes every value it prints as an exact `Decimal`, whose `str()` is
+linear time, except on the enumerators `brute` and `compsum`, which run
+faster on ints and whose values `to_decimal` renders.
+
+`to_decimal` renders one int in full.  Past STR_BITS it converts by
 divide and conquer over the bits, evaluated in stdlib `decimal`
 (libmpdec), whose large products are sub-quadratic: the method of CPython
 3.12's `Lib/_pylong.py` (gh-90716).  STR_BITS is small enough that no
@@ -12,11 +16,15 @@ does not depend on that cap: no caller has to lift it.
 
 `EXACT` is the one `decimal` context in which the package computes: the
 largest precision and exponent range `decimal` has, with `Inexact`
-trapped.  Integer sums and products never round in it, and if one ever
-needed to, the trap would raise instead of silently changing a digit.
-`to_decimal` evaluates in it, and so do the recurrences when the CLI runs
-them on Decimals to print their values: `str(Decimal)` is linear time,
-because libmpdec already stores base-10¹⁹ limbs.
+trapped.  Integer sums, products and powers never round in it, and if one
+ever needed to, the trap would raise instead of silently changing a digit.
+`to_decimal` evaluates in it, and so does every engine when the CLI runs it
+on Decimals to print its values: `str(Decimal)` is linear time, because
+libmpdec already stores base-10¹⁹ limbs, and past about a megabit libmpdec
+multiplies by a number-theoretic transform where ints use Karatsuba.
+
+`decimal_digits` and `brief` take an int or a Decimal, so neither ever
+converts one into the other.
 """
 
 import decimal
@@ -81,12 +89,15 @@ def to_decimal(n: int) -> str:
     return "-" + text if n < 0 else text
 
 
-def decimal_digits(n: int) -> int:
-    """Decimal digit count of |n| without str(), which CPython caps by default.
+def decimal_digits(n: int | decimal.Decimal) -> int:
+    """Decimal digit count of |n|, an int or an integral Decimal, without str(), which CPython caps by default.
 
-    The bit length bounds floor(log10 n) within one, and a single big-power
-    comparison settles which side we are on.
+    A Decimal knows its own exponent: an integer has adjusted() + 1
+    digits.  For an int, the bit length bounds floor(log10 n) within one,
+    and a single big-power comparison settles which side we are on.
     """
+    if isinstance(n, decimal.Decimal):
+        return n.adjusted() + 1
     n = abs(n)
     if n == 0:
         return 1
@@ -94,8 +105,11 @@ def decimal_digits(n: int) -> int:
     return candidate if n < 10**candidate else candidate + 1
 
 
-def brief(q: Rational) -> str:
-    """q in decimal, as a/b unless an integer; a part past FULL_DIGITS digits shows as its digit count."""
+def brief(q: Rational | decimal.Decimal) -> str:
+    """q in decimal, as a/b unless an integer or a Decimal; a part past FULL_DIGITS digits shows as its digit count."""
+    if isinstance(q, decimal.Decimal):
+        k = decimal_digits(q)
+        return str(q) if k <= FULL_DIGITS else f"{'-' * q.is_signed()}<{k} digits>"
     if q.denominator != 1:
         return f"{brief(q.numerator)}/{brief(q.denominator)}"
     k = decimal_digits(q.numerator)

@@ -9,11 +9,13 @@ serves `compute` and `bench`; coupled, decoupled, quartic-c and genfun
 take O(log n) big products there, not a walk from n = 0.  The stream
 route, `rows`, gives n = lo..hi and serves `table`, `bfile` and
 `validate`; those four engines stream from n = 0, the rest map `at` over
-n.  Rows are ints, or another number type `num`, such as `Decimal`, for a
-caller that only prints them.  The report checks every engine's rows, and
-each streaming engine's point route at n <= 8 and at its last n, against
-the coupled reference (whose point route the tests check), the 27^n total
-identity, the characteristic-polynomial factorisation and identity suite.
+n.  Both routes give ints, or another number type `num`, such as `Decimal`,
+for a caller that only prints them; every engine but the enumerators
+computes in num from num seeds, so no computed int is converted.  The
+report, on ints, checks every engine's rows, and each streaming engine's
+point route at n <= 8 and at its last n, against the coupled reference
+(whose point route the tests check), the 27^n total identity, the
+characteristic-polynomial factorisation and identity suite.
 """
 
 from __future__ import annotations
@@ -50,15 +52,20 @@ class EngineDomainError(ValueError):
 Num = Callable[[int], Any]
 
 # An engine's rows: (labels, lo, hi, num=int) -> the values of those classes,
-# in label order and as num, for n = lo..hi; its point route, (labels, n) ->
-# those values at n, as ints.
+# in label order and as num, for n = lo..hi; its point route,
+# (labels, n, num=int) -> those values at n, as num.
 Rows = Callable[..., Iterator[tuple]]
-At = Callable[[tuple[ClassLabel, ...], int], tuple[int, ...]]
+At = Callable[..., tuple]
 
 
 def _streamed(stream: Callable[[tuple[ClassLabel, ...], Num], Iterator[tuple]]) -> Rows:
     """Rows of an engine that produces every index from n = 0: read one pass, seeded as num."""
     return lambda labels, lo, hi, num=int: islice(stream(labels, num), lo, hi + 1)
+
+
+def _as(num: Num) -> tuple[Num, ...]:
+    """The trailing arguments that hand num to a point function: none for int, so int requests call it as (..., n)."""
+    return () if num is int else (num,)
 
 
 def _pick(v: ClassVector, labels: tuple[ClassLabel, ...]) -> tuple[int, ...]:
@@ -76,11 +83,14 @@ class EngineInfo:
     stream: Rows | None = None
     # validation stops here even where the engine itself goes further
     check_max_n: int | None = None
+    # at computes on ints and converts its values to num at the end: the
+    # enumerators, whose many mid-size products run faster on ints than on Decimal
+    ints_only: bool = False
 
     def rows(self, labels: tuple[ClassLabel, ...], lo: int, hi: int, num: Num = int) -> Iterator[tuple]:
         if self.stream is not None:
             return self.stream(labels, lo, hi, num)
-        return (tuple(map(num, self.at(labels, n))) for n in range(lo, hi + 1))
+        return (self.at(labels, n, num) for n in range(lo, hi + 1))
 
 
 # The lambdas look their engine functions up by name at call time, so the
@@ -89,21 +99,26 @@ class EngineInfo:
 ENGINES: dict[str, EngineInfo] = {
     e.name: e
     for e in (
-        EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS, lambda labels, n: _pick(brute_force_words(n), labels)),
-        EngineInfo("compsum", 0, None, ALL_LABELS, lambda labels, n: _pick(composition_sum(n), labels),
-                   check_max_n=300),
-        EngineInfo("coupled", 0, None, ALL_LABELS, lambda labels, n: _pick(coupled_at(n), labels),
+        EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS,
+                   lambda labels, n, num=int: tuple(map(num, _pick(brute_force_words(n), labels))), ints_only=True),
+        EngineInfo("compsum", 0, None, ALL_LABELS,
+                   lambda labels, n, num=int: tuple(map(num, _pick(composition_sum(n), labels))),
+                   check_max_n=300, ints_only=True),
+        EngineInfo("coupled", 0, None, ALL_LABELS, lambda labels, n, num=int: _pick(coupled_at(n, *_as(num)), labels),
                    lambda labels, lo, hi, num=int: (_pick(v, labels) for v in islice(coupled_stream(num), lo, hi + 1))),
         EngineInfo("decoupled", 0, None, ALL_LABELS,
-                   lambda labels, n: tuple(decoupled_at(label, n) for label in labels),
+                   lambda labels, n, num=int: tuple(decoupled_at(label, n, *_as(num)) for label in labels),
                    _streamed(lambda labels, num: zip(*(decoupled_stream(label, num) for label in labels)))),
-        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), lambda labels, n: (quartic_c(n),),
+        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), lambda labels, n, num=int: (quartic_c(n, *_as(num)),),
                    _streamed(lambda labels, num: zip(quartic_c_stream(num)))),
-        EngineInfo("closed", 1, None, ALL_LABELS, lambda labels, n: _pick(closed_form_vector(n), labels)),
-        EngineInfo("rootbasis", 1, None, ALL_LABELS, lambda labels, n: _pick(root_basis_vector(n), labels)),
-        EngineInfo("mod4", 1, None, ALL_LABELS, lambda labels, n: _pick(case_mod4_vector(n), labels)),
+        EngineInfo("closed", 1, None, ALL_LABELS,
+                   lambda labels, n, num=int: _pick(closed_form_vector(n, *_as(num)), labels)),
+        EngineInfo("rootbasis", 1, None, ALL_LABELS,
+                   lambda labels, n, num=int: _pick(root_basis_vector(n, *_as(num)), labels)),
+        EngineInfo("mod4", 1, None, ALL_LABELS,
+                   lambda labels, n, num=int: _pick(case_mod4_vector(n, *_as(num)), labels)),
         EngineInfo("genfun", 0, None, ALL_LABELS,
-                   lambda labels, n: tuple(gf_at(gf_for_class(label), n) for label in labels),
+                   lambda labels, n, num=int: tuple(gf_at(gf_for_class(label), n, *_as(num)) for label in labels),
                    _streamed(lambda labels, num: zip(*(gf_stream(gf_for_class(label), num) for label in labels)))),
     )
 }
@@ -130,9 +145,12 @@ def check_domain(engine: str, n: int, label: ClassLabel | None = None) -> Engine
     return info
 
 
-def compute_value(engine: str, label: ClassLabel, n: int) -> int:
-    """One class count by one engine; raises EngineDomainError when out of range."""
-    return check_domain(engine, n, label).at((label,), n)[0]
+def compute_value(engine: str, label: ClassLabel, n: int, num: Num = int) -> Any:
+    """One class count by one engine, as num; raises EngineDomainError when out of range.
+
+    A Decimal count must be computed in digits.EXACT, or the caller's context may round it.
+    """
+    return check_domain(engine, n, label).at((label,), n, num)[0]
 
 
 def series(engine: str, max_n: int, num: Num = int) -> Iterator[ClassVector]:
@@ -219,10 +237,10 @@ def run_validation(max_n: int) -> list[CheckResult]:
     return results
 
 
-def bench_engine(engine: str, n: int) -> tuple[float, dict[ClassLabel, int]]:
-    """Wall-clock time and values for computing every supported class at n, in one pass."""
+def bench_engine(engine: str, n: int, num: Num = int) -> tuple[float, dict[ClassLabel, Any]]:
+    """Wall-clock time and values, as num, for computing every supported class at n, in one pass."""
     info = check_domain(engine, n)
     start = time.perf_counter()
-    row = info.at(info.labels, n)
+    row = info.at(info.labels, n, num)
     elapsed = time.perf_counter() - start
     return elapsed, dict(zip(info.labels, row))

@@ -133,21 +133,22 @@ def _half_product(p, q, parity: int, terms: int) -> IntPolynomial:
     )
 
 
-def gf_at(gf: RationalGF, n: int) -> int:
+def gf_at(gf: RationalGF, n: int, num: Callable[[int], T] = int) -> T:
     """Taylor coefficient c_n of a rational generating function P/Q, in O(log n) products (Bostan-Mori).
 
     P/Q = P(x)Q(-x) / V(x^2) with V(x^2) = Q(x)Q(-x), so c_n is c_(n//2) of
     the even (n even) or odd part of P(x)Q(-x), over V, down to c_0 = P(0)/Q(0).
     Only the coefficients that can reach c_(n//2) are computed: the half of
-    each product of the right parity, up to degree n//2.
+    each product of the right parity, up to degree n//2.  The coefficients
+    of P and Q are taken as num, so c_n is of that type too.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    p, q = gf.numerator, gf.denominator
-    if q[0] not in (1, -1):
-        raise NonUnitConstantTerm(f"denominator constant term is {q[0]}, need +-1")
+    if gf.denominator[0] not in (1, -1):
+        raise NonUnitConstantTerm(f"denominator constant term is {gf.denominator[0]}, need +-1")
+    p, q = tuple(map(num, gf.numerator)), tuple(map(num, gf.denominator))
     while n:
         terms = n // 2 + 1
         p, q = _half_product(p, q, n % 2, terms), _half_product(q, q, 0, terms)
         n //= 2
-    return p[0] * q[0] if p else 0  # dividing by q_0 = +-1
+    return p[0] * q[0] if p else num(0)  # dividing by q_0 = +-1

@@ -23,15 +23,20 @@ third-order recurrence is identified in the first place.
 This module writes each recurrence once, as its seed values and one step
 over a window of the latest values (DECOUPLED, QUARTIC_C); a single
 runner, _recurrence, iterates them all into streams from n = 0, for runs
-of rows.  A stream takes the number type of its seeds, `num`: int by
-default, or `decimal.Decimal` for output, whose text is linear time (the
-caller then reads it in `digits.EXACT`).  The steps only add and multiply
-by small ints, so they are the same for both.  Item n alone comes from a
-point route in O(log n) big products: coupled_at powers the transition
-matrix, and recurrence_at reduces t^(n-1) modulo the characteristic
-polynomial (Fiduccia), which char_poly reads off the step, as
-char_poly_check does.  The module also adds a numeric identity suite for
-every intermediate elimination identity, all in exact integer arithmetic.
+of rows.  Item n alone comes from a point route in O(log n) big products:
+recurrence_at reduces t^(n-1) modulo the characteristic polynomial
+(Fiduccia), which char_poly reads off the step, as char_poly_check does,
+and coupled_at powers the transition matrix.  That matrix commutes with
+the relabelling A -> B -> C -> A, so each of its powers is fixed by six
+entries, which coupled_at reads off it after checking the commutation;
+a squaring then takes 16 big products, not 64.  Streams and point routes
+alike take the number type of their seeds, `num`: int by default, or
+`decimal.Decimal` for output, whose text is linear time and whose large
+products use a number-theoretic transform (the caller then reads it in
+`digits.EXACT`).  Every route starts from num seeds and num constants,
+and mixes its values only with small ints, so no computed int is ever
+converted.  The module also adds a numeric identity suite for every intermediate
+elimination identity, all in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -81,6 +86,10 @@ DECOUPLED: dict[ClassLabel, Recurrence] = {
 QUARTIC_C: Recurrence = ((0, 0, 90, 2268, 58806), lambda w: 26 * w[-1] + 702 * w[-3] + 729 * w[-4])
 
 
+class NotRelabellingInvariant(ValueError):
+    """The transition matrix does not commute with the relabelling A -> B -> C -> A."""
+
+
 class IdentityViolation(Exception):
     """An elimination identity failed numerically at some index."""
 
@@ -124,20 +133,53 @@ def quartic_c_stream(num: Callable[[int], T] = int) -> Iterator[T]:
     return _recurrence(tuple(map(num, seeds)), step)
 
 
-def _matmul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*y)) for row in x)
+# A matrix over the classes (A, B, C, D) that commutes with A -> B -> C -> A
+# is [[circ(a, b, c), e*1], [f*1^T, g]]: its A-C block is circulant, entry
+# (i, j) = (a, b, c)[(j - i) % 3], its D column is e and its D row f on A-C.
+Six = tuple[T, T, T, T, T, T]
 
 
-def coupled_at(n: int) -> ClassVector:
-    """The class vector at n: TRANSITION_MATRIX^n applied to the seed (1, 0, 0, 0), by binary powering."""
+def six_entries(matrix: Sequence[Sequence[int]]) -> Six:
+    """(a, b, c, e, f, g) of a 4x4 matrix that commutes with A -> B -> C -> A, or raise NotRelabellingInvariant."""
+    relabel = (1, 2, 0, 3)
+    if any(matrix[relabel[i]][relabel[j]] != matrix[i][j] for i in range(4) for j in range(4)):
+        raise NotRelabellingInvariant(f"{matrix} does not commute with the relabelling A -> B -> C -> A")
+    a, b, c, e = matrix[0]
+    return a, b, c, e, matrix[3][0], matrix[3][3]
+
+
+def _six_mul(x: Six, y: Six) -> Six:
+    """The product of two matrices in six-entry form, in 16 products: the circulant blocks convolve cyclically."""
+    a1, b1, c1, e1, f1, g1 = x
+    a2, b2, c2, e2, f2, g2 = y
+    ef = e1 * f2
+    return (
+        a1 * a2 + b1 * c2 + c1 * b2 + ef,
+        a1 * b2 + b1 * a2 + c1 * c2 + ef,
+        a1 * c2 + b1 * b2 + c1 * a2 + ef,
+        (a1 + b1 + c1) * e2 + e1 * g2,
+        f1 * (a2 + b2 + c2) + g1 * f2,
+        3 * f1 * e2 + g1 * g2,
+    )
+
+
+def coupled_at(n: int, num: Callable[[int], T] = int) -> ClassVector:
+    """The class vector at n, as num: TRANSITION_MATRIX^n applied to the seed (1, 0, 0, 0), by binary powering.
+
+    The powers are kept in six-entry form (see six_entries), so the
+    vector is column A of the power, (a, c, b, f).
+    """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    power = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    step = tuple(map(num, six_entries(TRANSITION_MATRIX)))
+    zero, one = num(0), num(1)
+    power = (one, zero, zero, zero, zero, one)
     for bit in bin(n)[2:]:
-        power = _matmul(power, power)
+        power = _six_mul(power, power)
         if bit == "1":
-            power = _matmul(power, TRANSITION_MATRIX)
-    return ClassVector(n, *(row[0] for row in power))
+            power = _six_mul(power, step)
+    a, b, c, _, f, _ = power
+    return ClassVector(n, a, c, b, f)
 
 
 def char_poly(seeds: Sequence[int], step: Callable[[Sequence[int]], int]) -> tuple[int, ...]:
@@ -150,33 +192,47 @@ def char_poly(seeds: Sequence[int], step: Callable[[Sequence[int]], int]) -> tup
     return (*(-step(tuple(int(j == k) for j in range(d))) for k in range(d)), 1)
 
 
-def recurrence_at(seeds: Sequence[int], step: Callable[[Sequence[int]], int], n: int) -> int:
-    """Item n of the recurrence (seeds, step), in O(log n) products (Fiduccia).
+def _square(p: Sequence[T]) -> list[T]:
+    """p(t)^2, ascending: a square per coefficient and one product per pair, not len(p)^2 products."""
+    out = [0] * (2 * len(p) - 1)
+    for i, pi in enumerate(p):
+        out[2 * i] += pi * pi
+        twice = 2 * pi
+        for j in range(i + 1, len(p)):
+            out[i + j] += twice * p[j]
+    return out
+
+
+def recurrence_at(
+    seeds: Sequence[int], step: Callable[[Sequence[int]], int], n: int, num: Callable[[int], T] = int
+) -> T:
+    """Item n of the recurrence (seeds, step), as num, in O(log n) products (Fiduccia).
 
     The recurrence holds from n = d + 1, d = len(seeds) - 1, and x(0) is
     off it.  So with t^(n-1) mod char_poly(seeds, step) = sum c_k t^k,
-    x(n) = sum c_k x(k + 1).
+    x(n) = sum c_k x(k + 1).  The residue starts at num(1) and the seeds
+    are taken as num; the polynomial's small int coefficients stay ints.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
-        return seeds[0]
+        return num(seeds[0])
     poly = char_poly(seeds, step)
     d = len(poly) - 1
-    residue: list[int] = [1]
+    residue: list[T] = [num(1)]
     for bit in bin(n - 1)[2:]:
         # Square, times t on a 1 bit, then reduce by t^d = -(p_0 + p_1 t + ... + p_(d-1) t^(d-1)).
-        residue = [*poly_mul((0,) * int(bit) + tuple(residue), residue)]
+        residue = [0] * int(bit) + _square(residue)
         while len(residue) > d:
             top = residue.pop()
             for j, p in enumerate(poly[:-1], len(residue) - d):
                 residue[j] -= top * p
-    return sum(map(operator.mul, residue, seeds[1:]))
+    return sum(map(operator.mul, residue, map(num, seeds[1:])))
 
 
-def decoupled_at(label: ClassLabel, n: int) -> int:
-    """C_label(n) by the class's own decoupled recurrence."""
-    return recurrence_at(*DECOUPLED[label], n)
+def decoupled_at(label: ClassLabel, n: int, num: Callable[[int], T] = int) -> T:
+    """C_label(n) by the class's own decoupled recurrence, as num."""
+    return recurrence_at(*DECOUPLED[label], n, num)
 
 
 def coupled_sequence(N: int) -> list[ClassVector]:
@@ -198,9 +254,9 @@ def decoupled_d(n: int) -> int:
     return decoupled_at(ClassLabel.D, n)
 
 
-def quartic_c(n: int) -> int:
-    """Class count for C via its fourth-order recurrence (see quartic_c_stream)."""
-    return recurrence_at(*QUARTIC_C, n)
+def quartic_c(n: int, num: Callable[[int], T] = int) -> T:
+    """Class count for C via its fourth-order recurrence (see quartic_c_stream), as num."""
+    return recurrence_at(*QUARTIC_C, n, num)
 
 
 def char_poly_check() -> bool:

@@ -3,11 +3,12 @@
 Elements are stored in the basis (1, sqrt3, i, i*sqrt3) with rational
 coordinates, so every element has exactly one representation and equality
 is coordinate equality.  A coordinate is any `numbers.Rational`, such as an
-int or a `fractions.Fraction`, kept as given; Python makes 3 == Fraction(3)
-with equal hashes, so equal values compare and hash equal whichever type
-they hold.  The engine paths use ints only, since the closed forms clear
-their denominators, so this module never imports `fractions`.  The
-multiplication table is
+int or a `fractions.Fraction`, or a `decimal.Decimal`, kept as given; Python
+makes 3 == Fraction(3) == Decimal(3) with equal hashes, so equal values
+compare and hash equal whichever type they hold.  The engine paths use ints,
+or Decimals in the exact context `digits.EXACT` when a value is computed to
+be printed; the closed forms clear their denominators, so this module never
+imports `fractions`.  The multiplication table is
 
     sqrt3 * sqrt3 = 3          i * i = -1
     sqrt3 * i     = i*sqrt3    (i*sqrt3) * (i*sqrt3) = -3
@@ -21,7 +22,9 @@ them, with no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from numbers import Rational
+from typing import Callable
 
 from .digits import brief
 
@@ -30,12 +33,12 @@ class NotRationalInteger(ValueError):
     """Raised when an element expected to be a plain integer is not one."""
 
 
-RationalLike = Rational
+RationalLike = Rational | Decimal
 
 
 @dataclass(frozen=True, slots=True)
 class AlgebraicQ3i:
-    """An element a + b*sqrt3 + c*i + d*i*sqrt3 with rational (int, Fraction, ...) coordinates."""
+    """An element a + b*sqrt3 + c*i + d*i*sqrt3 with rational (int, Fraction, Decimal, ...) coordinates."""
 
     a: RationalLike = 0
     b: RationalLike = 0
@@ -98,19 +101,25 @@ class AlgebraicQ3i:
         """Complex conjugate: i -> -i, i.e. (a, b, c, d) -> (a, b, -c, -d)."""
         return AlgebraicQ3i(self.a, self.b, -self.c, -self.d)
 
-    def to_integer(self) -> int:
-        """Convert to a plain int, or raise NotRationalInteger.
+    def to_integer(self) -> int | Decimal:
+        """Convert to a plain integer, or raise NotRationalInteger.
 
         Succeeds only when the sqrt3, i and i*sqrt3 coordinates all vanish
-        and the remaining rational has denominator 1.  A failure here means
-        some formula upstream was transcribed wrongly, so the error is loud
-        on purpose.
+        and the remaining rational is an integer: an int for a rational
+        coordinate, a Decimal for a Decimal one.  A failure here means some
+        formula upstream was transcribed wrongly, so the error is loud on
+        purpose.
         """
         if self.b or self.c or self.d:
             raise NotRationalInteger(f"{self} has irrational or imaginary parts")
-        if self.a.denominator != 1:
+        a = self.a
+        if isinstance(a, Decimal):
+            if a != a.to_integral_value():
+                raise NotRationalInteger(f"{self} is not an integer")
+            return a
+        if a.denominator != 1:
             raise NotRationalInteger(f"{self} is not an integer")
-        return self.a.numerator
+        return a.numerator
 
     def __str__(self) -> str:
         terms = ((self.a, ""), (self.b, "*sqrt3"), (self.c, "*i"), (self.d, "*i*sqrt3"))
@@ -121,7 +130,7 @@ class AlgebraicQ3i:
 def _promote(value: AlgebraicQ3i | RationalLike) -> AlgebraicQ3i | None:
     if isinstance(value, AlgebraicQ3i):
         return value
-    if isinstance(value, Rational):
+    if isinstance(value, (Rational, Decimal)):
         return AlgebraicQ3i(value)
     return None
 
@@ -138,10 +147,10 @@ def i_power(n: int) -> AlgebraicQ3i:
     return (ONE, I, -ONE, -I)[n % 4]
 
 
-def sqrt3_power(e: int) -> AlgebraicQ3i:
-    """3**(e/2) as a ring element: an integer for even e, 3**((e-1)/2)*sqrt3 for odd e."""
+def sqrt3_power(e: int, num: Callable[[int], RationalLike] = int) -> AlgebraicQ3i:
+    """3**(e/2) as a ring element: an integer for even e, 3**((e-1)/2)*sqrt3 for odd e; the power is of type num."""
     if e < 0:
         raise ValueError(f"exponent must be nonnegative, got {e}")
     if e % 2 == 0:
-        return AlgebraicQ3i(3 ** (e // 2))
-    return AlgebraicQ3i(0, 3 ** ((e - 1) // 2))
+        return AlgebraicQ3i(num(3) ** (e // 2))
+    return AlgebraicQ3i(0, num(3) ** ((e - 1) // 2))

@@ -12,7 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -76,6 +76,38 @@ class TestCompute:
         # An x1^n coefficient of 3, not 2, adds 27^n to 18*A(n); 27^n is odd, so the sum is no multiple of 18.
         monkeypatch.setitem(closedform._ROOT_BASIS_X18, ClassLabel.A, (3, 6, 6))
         code, out, err = run_cli(capsys, "compute", "--class", "A", "--n", "5", "--engine", "rootbasis")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ")
+
+    def test_non_integral_decimal_closed_form_is_internal_error(self, capsys, monkeypatch):
+        # A's x1^n coefficient 2.5, not 2, adds 27^n / 2 to 18*A(n), a half that only a Decimal can hold:
+        # 18 * 3^13 + 27^5 / 2 = 35872267.5 at n = 5
+        monkeypatch.setitem(closedform._ROOT_BASIS_X18, ClassLabel.A, (Decimal("2.5"), 6, 6))
+        code, out, err = run_cli(capsys, "compute", "--class", "A", "--n", "5", "--engine", "rootbasis")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: 35872267.5 is not an integer\n"
+
+    def test_decimal_signal_is_internal_error(self, capsys, monkeypatch):
+        from triwords.counting import ClassVector
+
+        def undefined_quotient(n, num=int):
+            undefined = num(0) / num(0)  # InvalidOperation, which the exact context traps
+            return ClassVector(n, undefined, undefined, undefined, undefined)
+
+        monkeypatch.setattr("triwords.engines.case_mod4_vector", undefined_quotient)
+        code, out, err = run_cli(capsys, "compute", "--class", "B", "--n", "5", "--engine", "mod4")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ")
+
+    def test_transition_matrix_without_the_symmetry_is_internal_error(self, capsys, monkeypatch):
+        from triwords import recurrence
+
+        bad = (*recurrence.TRANSITION_MATRIX[:3], (18, 18, 17, 18))
+        monkeypatch.setattr(recurrence, "TRANSITION_MATRIX", bad)
+        code, out, err = run_cli(capsys, "compute", "--class", "A", "--n", "5", "--engine", "coupled")
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: ")

@@ -162,6 +162,34 @@ class TestPointRoutes:
                 assert {label: compute_value(engine, label, n) for label in want} == want
 
 
+# The engines whose point route computes in the number type it is given.
+NUM_ROUTE_ENGINES = ("coupled", "decoupled", "quartic-c", "genfun", "closed", "rootbasis", "mod4")
+
+
+class TestDecimalPointRoutes:
+    @given(st.sampled_from(NUM_ROUTE_ENGINES), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_text_matches_int_route(self, engine, data):
+        info = engines.ENGINES[engine]
+        n = data.draw(st.integers(min_value=info.min_n, max_value=5000), label="n")
+        converted = []
+
+        def spy(k):
+            converted.append(k)
+            return Decimal(k)
+
+        with localcontext(EXACT):
+            values = info.at(info.labels, n, spy)
+            got = [str(v) for v in values]
+        assert all(isinstance(v, Decimal) for v in values)
+        assert got == [to_decimal(v) for v in info.at(info.labels, n)]
+        # only seeds and constants are converted, never a computed int
+        assert converted and all(type(k) is int and abs(k) < 2**64 for k in converted)
+
+    def test_enumerators_stay_on_ints(self):
+        assert [e.name for e in engines.ENGINES.values() if e.ints_only] == ["brute", "compsum"]
+
+
 class TestValidation:
     def test_point_route_mismatch_names_index_and_class(self, monkeypatch):
         real = engines.decoupled_at
@@ -235,6 +263,10 @@ class TestDecimalDigits:
     def test_small(self, value, expect):
         assert decimal_digits(value) == expect
 
+    @pytest.mark.parametrize("text,expect", [("0", 1), ("9", 1), ("10", 2), ("-1234", 4), ("1" + "0" * 100, 101)])
+    def test_decimal(self, text, expect):
+        assert decimal_digits(Decimal(text)) == expect
+
     def test_huge(self):
         assert decimal_digits(10**20000) == 20001
         assert decimal_digits(10**20000 - 1) == 20000
@@ -248,6 +280,14 @@ class TestBrief:
     )
     def test_full_up_to_forty_digits_then_size(self, value, expect):
         assert brief(value) == expect
+
+    @pytest.mark.parametrize(
+        "text,expect",
+        [("0", "0"), ("-7", "-7"), ("9" * 40, "9" * 40), ("1" + "0" * 40, "<41 digits>"),
+         ("-1" + "0" * 40, "-<41 digits>"), ("2.5", "2.5")],
+    )
+    def test_decimal(self, text, expect):
+        assert brief(Decimal(text)) == expect
 
 
 class TestToDecimal:

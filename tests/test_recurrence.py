@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triwords import recurrence
 from triwords.counting import ClassLabel, ClassVector, composition_sum
 from triwords.recurrence import (
     DECOUPLED,
@@ -16,16 +17,21 @@ from triwords.recurrence import (
     QUARTIC_C,
     TRANSITION_MATRIX,
     IdentityViolation,
+    NotRelabellingInvariant,
     _recurrence,
+    _six_mul,
     char_poly,
     char_poly_check,
+    coupled_at,
     coupled_sequence,
     coupled_step,
+    coupled_stream,
     decoupled_d,
     decoupled_third_order,
     identity_suite,
     quartic_c,
     recurrence_at,
+    six_entries,
 )
 from truth_table import TRUTH
 
@@ -42,6 +48,78 @@ class TestTransitionMatrix:
     def test_columns_sum_to_27(self):
         for col in range(4):
             assert sum(row[col] for row in TRANSITION_MATRIX) == 27
+
+
+def _full(six):
+    """The 4x4 matrix [[circ(a, b, c), e*1], [f*1^T, g]] of a six-entry form."""
+    a, b, c, e, f, g = six
+    return (*((*((a, b, c)[(j - i) % 3] for j in range(3)), e) for i in range(3)), (f, f, f, g))
+
+
+def _matmul(x, y):
+    return tuple(tuple(sum(p * q for p, q in zip(row, col)) for col in zip(*y)) for row in x)
+
+
+small = st.integers(min_value=-30, max_value=30)
+sixes = st.tuples(small, small, small, small, small, small)
+
+
+class TestSixEntryForm:
+    def test_reads_the_transition_matrix(self):
+        assert _full(six_entries(TRANSITION_MATRIX)) == TRANSITION_MATRIX
+
+    @given(sixes, sixes)
+    @settings(max_examples=60, deadline=None)
+    def test_product_is_the_matrix_product(self, x, y):
+        assert _full(_six_mul(x, y)) == _matmul(_full(x), _full(y))
+
+    def test_squaring_takes_16_big_products(self):
+        products = []
+
+        class Big(int):
+            """An int that counts its products with another Big."""
+
+            def __mul__(self, other):
+                if isinstance(other, Big):
+                    products.append(1)
+                return Big(int(self) * int(other))
+
+            __rmul__ = __mul__
+
+            def __add__(self, other):
+                return Big(int(self) + int(other))
+
+            __radd__ = __add__
+
+        x = tuple(map(Big, range(2, 8)))
+        assert _six_mul(x, x) == _six_mul(tuple(range(2, 8)), tuple(range(2, 8)))
+        assert len(products) == 16
+
+    @given(sixes, st.integers(min_value=0, max_value=40))
+    @settings(max_examples=40, deadline=None)
+    def test_any_invariant_matrix_powers_like_its_stream(self, six, n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recurrence, "TRANSITION_MATRIX", _full(six))
+            assert coupled_at(n) == next(islice(coupled_stream(), n, None))
+
+    @pytest.mark.parametrize(
+        "i, j", [(1, 1), (2, 0), (0, 3), (2, 3), (3, 1), (3, 2)],
+        ids=["a-c-diagonal", "a-c-off-diagonal", "d-column-a", "d-column-c", "d-row-b", "d-row-c"],
+    )
+    def test_refuses_a_matrix_that_does_not_commute_with_the_relabelling(self, monkeypatch, i, j):
+        bad = [list(row) for row in TRANSITION_MATRIX]
+        bad[i][j] += 1
+        bad = tuple(map(tuple, bad))
+        with pytest.raises(NotRelabellingInvariant):
+            six_entries(bad)
+
+        def powered(x, y):
+            raise AssertionError("powered a matrix that failed its check")
+
+        monkeypatch.setattr(recurrence, "TRANSITION_MATRIX", bad)
+        monkeypatch.setattr(recurrence, "_six_mul", powered)
+        with pytest.raises(NotRelabellingInvariant):
+            coupled_at(10)
 
 
 class TestCoupled:

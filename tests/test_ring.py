@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triwords.digits import EXACT
 from triwords.ring import I, I_SQRT3, ONE, SQRT3, ZERO, AlgebraicQ3i, NotRationalInteger, i_power, sqrt3_power
 
 X2 = AlgebraicQ3i(0, 0, 0, 3)  # 3*sqrt3*i, one of the two complex recurrence roots
@@ -143,6 +145,18 @@ class TestToInteger:
     def test_str_shows_long_numerators_and_denominators_by_size(self):
         assert str(q(Fraction(-3, 2), 2)) == "-3/2 + 2*sqrt3"
         assert str(q(10**40, Fraction(-1, 10**41))) == "<41 digits> - 1/<42 digits>*sqrt3"
+
+    def test_decimal_coordinates(self):
+        with localcontext(EXACT):
+            x = AlgebraicQ3i(Decimal(2), Decimal(0), Decimal(0), Decimal(3))
+            square = Decimal(5) + x * x  # a Decimal on the left promotes too
+            assert square == AlgebraicQ3i(-18, 0, 0, 12)
+            value = (x * x.conjugate()).to_integer()
+        assert isinstance(value, Decimal) and value == 4 + 27
+
+    def test_non_integer_decimal_rejected(self):
+        with pytest.raises(NotRationalInteger, match=r"^2\.5 is not an integer$"):
+            AlgebraicQ3i(Decimal("2.5")).to_integer()
 
     def test_imaginary_part_rejected(self):
         with pytest.raises(NotRationalInteger):
