@@ -2,20 +2,20 @@
 
 Exit status is 0 on success, 1 when a validation check fails, 2 for
 usage errors (bad flags, out-of-domain requests), 3 for internal
-errors (an engine produced a value that cannot be right, such as a
-closed form that is not an integer or letter counts not summing to a
-multiple of three, was given a generating function it cannot expand or
-a transition matrix it cannot power, or a `decimal` operation signalled),
-and 141 (128 + SIGPIPE, as a shell reports a process killed by that
-signal) when the reader of stdout closes it early, as `| head` does;
-that exit prints nothing.  All values print in full decimal, so outputs
-diff bit for bit.  Single values (compute, bench, the aligned table's
-widths) and streamed rows (table, bfile) are computed in exact `decimal`
-arithmetic, in the context `digits.EXACT`, and printed by `str()`, which
-is linear time; the enumerators `brute` and `compsum`, which run faster
-on ints, compute single values as ints, rendered by `digits.to_decimal`.
-No route calls `str()` on an int past CPython's lowest int-to-str cap,
-so no command touches that cap.  `validate` checks the int routes.
+errors (a `counting.InternalError`: an engine produced a value that
+cannot be right, such as a closed form that is not an integer or letter
+counts not summing to a multiple of three, or was given a generating
+function it cannot expand or a transition matrix it cannot power; or a
+`decimal` operation signalled), and 141 (128 + SIGPIPE, as a shell
+reports a process killed by that signal) when the reader of stdout
+closes it early, as `| head` does; that exit prints nothing.  All values
+print in full decimal, so outputs diff bit for bit.  Every printed value,
+single (compute, bench, the aligned table's widths) or streamed (table,
+bfile), is an exact `Decimal`, in the context `digits.EXACT`, printed by
+`str()`, which is linear time; the registry converts the ints of the
+enumerators `brute` and `compsum`.  No command calls `str()` on an int
+past CPython's lowest int-to-str cap, so none touches that cap.
+`validate` checks the int routes.
 """
 
 from __future__ import annotations
@@ -26,23 +26,18 @@ import sys
 from decimal import Decimal, DecimalException, localcontext
 from typing import Iterator
 
-from .counting import ArityMismatch, ClassLabel, NotDivisibleBy3
-from .digits import EXACT, decimal_digits, to_decimal
+from .counting import ClassLabel, InternalError
+from .digits import EXACT, decimal_digits
 from .engines import (
     ALL_LABELS,
     ENGINE_IDS,
-    ENGINES,
     EngineDomainError,
-    Num,
     bench_engine,
     check_domain,
     compute_value,
     run_validation,
     series,
 )
-from .genfun import NonUnitConstantTerm
-from .recurrence import NotRelabellingInvariant
-from .ring import NotRationalInteger
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -88,19 +83,8 @@ def bfile_lines(sequence: str, max_n: int, offset: int = 1) -> list[str]:
         return list(_bfile_stream(sequence, max_n, offset))
 
 
-def _printed_num(engine: str) -> Num:
-    """The number type to compute an engine's single value in for printing: Decimal, or int on the enumerators."""
-    return int if ENGINES[engine].ints_only else Decimal
-
-
-def _text(value: int | Decimal) -> str:
-    """A count in full decimal, without str() of an int."""
-    return str(value) if isinstance(value, Decimal) else to_decimal(value)
-
-
 def _cmd_compute(args) -> int:
-    value = compute_value(args.engine, ClassLabel(args.cls), args.n, _printed_num(args.engine))
-    print(_text(value))
+    print(compute_value(args.engine, ClassLabel(args.cls), args.n, Decimal))
     return 0
 
 
@@ -124,7 +108,7 @@ def _cmd_table(args) -> int:
         print("\n  ]\n}")
     else:
         # Counts never fall as n grows (appending 111 keeps a word's class), so the row at max_n is the widest.
-        values = check_domain(args.engine, args.max_n).at(ALL_LABELS, args.max_n, _printed_num(args.engine))
+        values = check_domain(args.engine, args.max_n).at(ALL_LABELS, args.max_n, Decimal)
         last = (args.max_n, *values, sum(values))
         widths = [max(len(h), decimal_digits(cell)) for h, cell in zip(TABLE_HEADER, last)]
         print("  ".join(h.rjust(w) for h, w in zip(TABLE_HEADER, widths)))
@@ -171,8 +155,8 @@ def _cmd_bench(args) -> int:
         check_domain(engine, args.max_n)
     print(f"{'engine':<12} {'seconds':>10} {'digits':>8}  values")
     for engine in engines:
-        elapsed, values = bench_engine(engine, args.max_n, _printed_num(engine))
-        rendered = {label: _text(v) for label, v in values.items()}
+        elapsed, values = bench_engine(engine, args.max_n, Decimal)
+        rendered = {label: str(v) for label, v in values.items()}
         digits = sum(map(len, rendered.values()))
         print(f"{engine:<12} {elapsed:>10.4f} {digits:>8}  {_value_column(rendered)}")
     return 0
@@ -239,14 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return BROKEN_PIPE
-    except (
-        NotRationalInteger,
-        ArityMismatch,
-        NotDivisibleBy3,
-        NonUnitConstantTerm,
-        NotRelabellingInvariant,
-        DecimalException,
-    ) as exc:
+    except (InternalError, DecimalException) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
     except ValueError as exc:

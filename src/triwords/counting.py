@@ -21,11 +21,15 @@ from enum import Enum
 from math import comb
 
 
-class ArityMismatch(ValueError):
+class InternalError(ValueError):
+    """An engine produced or was given something that cannot be right: a bug, not a bad request."""
+
+
+class ArityMismatch(InternalError):
     """Lower-index arguments of a trinomial coefficient do not sum to the upper index."""
 
 
-class NotDivisibleBy3(ValueError):
+class NotDivisibleBy3(InternalError):
     """Letter counts whose total is not a multiple of three cannot be classified."""
 
 

@@ -2,12 +2,13 @@
 
 CPython's `str(int)` takes time quadratic in the digit count before 3.12,
 and the paper's counts have about 1.43·n digits, so a value at n = 3·10⁵
-would spend seconds in `str()` after milliseconds of arithmetic.  So the
-CLI computes every value it prints as an exact `Decimal`, whose `str()` is
-linear time, except on the enumerators `brute` and `compsum`, which run
-faster on ints and whose values `to_decimal` renders.
+would spend seconds in `str()` after milliseconds of arithmetic.  So
+every value the CLI prints is an exact `Decimal`, whose `str()` is linear
+time; the enumerators `brute` and `compsum` run faster on ints, and the
+engine registry converts their values to `Decimal`.
 
-`to_decimal` renders one int in full.  Past STR_BITS it converts by
+`to_decimal` renders one int in full, for a caller that holds an int; no
+command calls it.  Past STR_BITS it converts by
 divide and conquer over the bits, evaluated in stdlib `decimal`
 (libmpdec), whose large products are sub-quadratic: the method of CPython
 3.12's `Lib/_pylong.py` (gh-90716).  STR_BITS is small enough that no

@@ -10,12 +10,14 @@ take O(log n) big products there, not a walk from n = 0.  The stream
 route, `rows`, gives n = lo..hi and serves `table`, `bfile` and
 `validate`; those four engines stream from n = 0, the rest map `at` over
 n.  Both routes give ints, or another number type `num`, such as `Decimal`,
-for a caller that only prints them; every engine but the enumerators
-computes in num from num seeds, so no computed int is converted.  The
-report, on ints, checks every engine's rows, and each streaming engine's
-point route at n <= 8 and at its last n, against the coupled reference
-(whose point route the tests check), the 27^n total identity, the
-characteristic-polynomial factorisation and identity suite.
+for a caller that only prints them.  Every engine but the enumerators
+computes in num from num seeds, so no computed int is converted; the
+enumerators count faster on ints, and `at`, the one caller of each point
+function, converts their values itself.  The report, on ints, checks
+every engine's rows, and each streaming engine's point route at n <= 8
+and at its last n, against the coupled reference (whose point route the
+tests check), the 27^n total identity, the characteristic-polynomial
+factorisation and identity suite.
 """
 
 from __future__ import annotations
@@ -52,20 +54,16 @@ class EngineDomainError(ValueError):
 Num = Callable[[int], Any]
 
 # An engine's rows: (labels, lo, hi, num=int) -> the values of those classes,
-# in label order and as num, for n = lo..hi; its point route,
-# (labels, n, num=int) -> those values at n, as num.
+# in label order and as num, for n = lo..hi.  Its point function,
+# (labels, n) for ints or (labels, n, num) for another num, gives those
+# values at n; EngineInfo.at is the one caller.
 Rows = Callable[..., Iterator[tuple]]
-At = Callable[..., tuple]
+Point = Callable[..., tuple]
 
 
 def _streamed(stream: Callable[[tuple[ClassLabel, ...], Num], Iterator[tuple]]) -> Rows:
     """Rows of an engine that produces every index from n = 0: read one pass, seeded as num."""
     return lambda labels, lo, hi, num=int: islice(stream(labels, num), lo, hi + 1)
-
-
-def _as(num: Num) -> tuple[Num, ...]:
-    """The trailing arguments that hand num to a point function: none for int, so int requests call it as (..., n)."""
-    return () if num is int else (num,)
 
 
 def _pick(v: ClassVector, labels: tuple[ClassLabel, ...]) -> tuple[int, ...]:
@@ -78,14 +76,22 @@ class EngineInfo:
     min_n: int
     max_n: int | None
     labels: tuple[ClassLabel, ...]
-    at: At
+    point: Point
     # the engine's own stream route; without one, rows maps at over n
     stream: Rows | None = None
     # validation stops here even where the engine itself goes further
     check_max_n: int | None = None
-    # at computes on ints and converts its values to num at the end: the
+    # point computes on ints only, and at converts its values to num: the
     # enumerators, whose many mid-size products run faster on ints than on Decimal
     ints_only: bool = False
+
+    def at(self, labels: tuple[ClassLabel, ...], n: int, num: Num = int) -> tuple:
+        """The values of those classes at n, in label order and as num."""
+        if num is int:
+            return self.point(labels, n)
+        if self.ints_only:
+            return tuple(map(num, self.point(labels, n)))
+        return self.point(labels, n, num)
 
     def rows(self, labels: tuple[ClassLabel, ...], lo: int, hi: int, num: Num = int) -> Iterator[tuple]:
         if self.stream is not None:
@@ -94,31 +100,30 @@ class EngineInfo:
 
 
 # The lambdas look their engine functions up by name at call time, so the
-# registry follows whatever this module's names are bound to.  Coupled
-# slices its vector stream itself, so that skipped vectors are never picked.
+# registry follows whatever this module's names are bound to.  A point
+# function hands its trailing num, if any, to the engine function.
 ENGINES: dict[str, EngineInfo] = {
     e.name: e
     for e in (
         EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS,
-                   lambda labels, n, num=int: tuple(map(num, _pick(brute_force_words(n), labels))), ints_only=True),
+                   lambda labels, n: _pick(brute_force_words(n), labels), ints_only=True),
         EngineInfo("compsum", 0, None, ALL_LABELS,
-                   lambda labels, n, num=int: tuple(map(num, _pick(composition_sum(n), labels))),
-                   check_max_n=300, ints_only=True),
-        EngineInfo("coupled", 0, None, ALL_LABELS, lambda labels, n, num=int: _pick(coupled_at(n, *_as(num)), labels),
-                   lambda labels, lo, hi, num=int: (_pick(v, labels) for v in islice(coupled_stream(num), lo, hi + 1))),
+                   lambda labels, n: _pick(composition_sum(n), labels), check_max_n=300, ints_only=True),
+        EngineInfo("coupled", 0, None, ALL_LABELS, lambda labels, n, *num: _pick(coupled_at(n, *num), labels),
+                   _streamed(lambda labels, num: (_pick(v, labels) for v in coupled_stream(num)))),
         EngineInfo("decoupled", 0, None, ALL_LABELS,
-                   lambda labels, n, num=int: tuple(decoupled_at(label, n, *_as(num)) for label in labels),
+                   lambda labels, n, *num: tuple(decoupled_at(label, n, *num) for label in labels),
                    _streamed(lambda labels, num: zip(*(decoupled_stream(label, num) for label in labels)))),
-        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), lambda labels, n, num=int: (quartic_c(n, *_as(num)),),
+        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), lambda labels, n, *num: (quartic_c(n, *num),),
                    _streamed(lambda labels, num: zip(quartic_c_stream(num)))),
         EngineInfo("closed", 1, None, ALL_LABELS,
-                   lambda labels, n, num=int: _pick(closed_form_vector(n, *_as(num)), labels)),
+                   lambda labels, n, *num: _pick(closed_form_vector(n, *num), labels)),
         EngineInfo("rootbasis", 1, None, ALL_LABELS,
-                   lambda labels, n, num=int: _pick(root_basis_vector(n, *_as(num)), labels)),
+                   lambda labels, n, *num: _pick(root_basis_vector(n, *num), labels)),
         EngineInfo("mod4", 1, None, ALL_LABELS,
-                   lambda labels, n, num=int: _pick(case_mod4_vector(n, *_as(num)), labels)),
+                   lambda labels, n, *num: _pick(case_mod4_vector(n, *num), labels)),
         EngineInfo("genfun", 0, None, ALL_LABELS,
-                   lambda labels, n, num=int: tuple(gf_at(gf_for_class(label), n, *_as(num)) for label in labels),
+                   lambda labels, n, *num: tuple(gf_at(gf_for_class(label), n, *num) for label in labels),
                    _streamed(lambda labels, num: zip(*(gf_stream(gf_for_class(label), num) for label in labels)))),
     )
 }

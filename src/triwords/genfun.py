@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 from typing import Callable, Iterator, TypeVar
 
-from .counting import ClassLabel
+from .counting import ClassLabel, InternalError
 
 #: Polynomial with integer coefficients, ascending, index = degree.
 IntPolynomial = tuple[int, ...]
@@ -31,7 +31,7 @@ IntPolynomial = tuple[int, ...]
 T = TypeVar("T")
 
 
-class NonUnitConstantTerm(ValueError):
+class NonUnitConstantTerm(InternalError):
     """Coefficient extraction needs a denominator constant term of +-1 to stay integral."""
 
 

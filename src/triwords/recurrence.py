@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .counting import ClassLabel, ClassVector
+from .counting import ClassLabel, ClassVector, InternalError
 from .digits import brief
 from .genfun import poly_mul
 
@@ -86,7 +86,7 @@ DECOUPLED: dict[ClassLabel, Recurrence] = {
 QUARTIC_C: Recurrence = ((0, 0, 90, 2268, 58806), lambda w: 26 * w[-1] + 702 * w[-3] + 729 * w[-4])
 
 
-class NotRelabellingInvariant(ValueError):
+class NotRelabellingInvariant(InternalError):
     """The transition matrix does not commute with the relabelling A -> B -> C -> A."""
 
 

@@ -26,10 +26,11 @@ from decimal import Decimal
 from numbers import Rational
 from typing import Callable
 
+from .counting import InternalError
 from .digits import brief
 
 
-class NotRationalInteger(ValueError):
+class NotRationalInteger(InternalError):
     """Raised when an element expected to be a plain integer is not one."""
 
 

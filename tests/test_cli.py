@@ -22,7 +22,7 @@ from triwords.cli import BROKEN_PIPE, OEIS_SEQUENCES, bfile_lines, main
 from triwords.closedform import case_mod4
 from triwords.counting import ClassLabel
 from triwords.digits import STR_BITS, to_decimal
-from triwords.engines import compute_series, compute_value, decimal_digits
+from triwords.engines import bench_engine, compute_series, compute_value, decimal_digits
 from triwords.recurrence import coupled_sequence
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -132,6 +132,17 @@ class TestCompute:
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: simulated misdecoded letter counts")
+
+    def test_any_internal_error_is_internal_error(self, capsys, monkeypatch):
+        # cli names one base class, so an internal error it was never told about still exits 3
+        from triwords.counting import InternalError
+
+        def broken(n, *num):
+            raise InternalError("x")
+
+        monkeypatch.setattr("triwords.engines.case_mod4_vector", broken)
+        result = run_cli(capsys, "compute", "--engine", "mod4", "--class", "A", "--n", "5")
+        assert result == (3, "", "internal error: x\n")
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str cap before 3.11")
     def test_int_str_cap_is_restored(self, capsys):
@@ -336,6 +347,42 @@ class TestStreamedText:
         assert value.bit_length() > STR_BITS
         want = f"7000 {to_decimal(value)}\n"
         assert run_cli(capsys, "bfile", "A391468", "--max-n", "7000", "--offset", "7000") == (0, want, "")
+
+
+class TestEnumeratorsPrintDecimals:
+    """Every printed value is an exact Decimal; the registry converts the enumerators' ints, so nothing renders an int."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_to_decimal(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("a command rendered an int through to_decimal")
+
+        monkeypatch.setattr("triwords.digits.to_decimal", refuse)
+        monkeypatch.setattr("triwords.cli.to_decimal", refuse, raising=False)
+
+    # compsum's values at n = 500 have over 640 digits, the lowest int-to-str cap CPython accepts
+    @pytest.mark.parametrize("engine, n", [("brute", 0), ("brute", 5), ("compsum", 500)])
+    def test_compute(self, capsys, engine, n):
+        for label in ClassLabel:
+            want = str(compute_value(engine, label, n)) + "\n"
+            assert run_cli(capsys, "compute", "--engine", engine, "--class", label.value, "--n", str(n)) == (0, want, "")
+
+    @pytest.mark.parametrize("engine, n", [("brute", 5), ("compsum", 500)])
+    def test_bench(self, capsys, engine, n):
+        strings = [str(v) for v in bench_engine(engine, n)[1].values()]
+        column = ",".join(f"{label.value}={s}" for label, s in zip(ClassLabel, strings))
+        if len(column) > 60:
+            column = "blake2b:" + hashlib.blake2b(",".join(strings).encode(), digest_size=8).hexdigest()
+        code, out, err = run_cli(capsys, "bench", "--max-n", str(n), "--engines", engine)
+        (row,) = out.splitlines()[1:]
+        name, _, digits, values = row.split()
+        assert (code, err, name, digits, values) == (0, "", engine, str(sum(map(len, strings))), column)
+
+    @pytest.mark.parametrize("engine, max_n", [("brute", 5), ("compsum", 500)])
+    def test_aligned_table(self, capsys, engine, max_n):
+        # the aligned table names no engine, so coupled's rows are the expected text
+        result = run_cli(capsys, "table", "--engine", engine, "--max-n", str(max_n))
+        assert result == (0, _expected_table("coupled", max_n, "table"), "")
 
 
 class TestBfile:

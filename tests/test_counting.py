@@ -11,6 +11,7 @@ from triwords.counting import (
     ArityMismatch,
     ClassLabel,
     ClassVector,
+    InternalError,
     NotDivisibleBy3,
     TooLarge,
     brute_force_words,
@@ -210,3 +211,13 @@ class TestClassVector:
         v = ClassVector(1, 3, 6, 0, 18)
         assert [v.component(label) for label in ClassLabel] == [3, 6, 0, 18]
         assert v.total == 27
+
+
+def test_internal_errors_share_one_base():
+    # cli.main maps InternalError to exit 3; each stays a ValueError for callers that catch that
+    from triwords.genfun import NonUnitConstantTerm
+    from triwords.recurrence import NotRelabellingInvariant
+    from triwords.ring import NotRationalInteger
+
+    for error in (ArityMismatch, NotDivisibleBy3, NotRationalInteger, NonUnitConstantTerm, NotRelabellingInvariant):
+        assert issubclass(error, InternalError) and issubclass(error, ValueError)

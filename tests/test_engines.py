@@ -189,6 +189,21 @@ class TestDecimalPointRoutes:
     def test_enumerators_stay_on_ints(self):
         assert [e.name for e in engines.ENGINES.values() if e.ints_only] == ["brute", "compsum"]
 
+    @pytest.mark.parametrize("engine, n", [("brute", 5), ("compsum", 40)])
+    def test_registry_converts_the_enumerators_values(self, engine, n):
+        info = engines.ENGINES[engine]
+        converted = []
+
+        def spy(k):
+            converted.append(k)
+            return Decimal(k)
+
+        values = info.at(info.labels, n, spy)
+        ints = info.at(info.labels, n)
+        assert converted == list(ints)
+        assert all(type(v) is Decimal for v in values)
+        assert values == ints
+
 
 class TestValidation:
     def test_point_route_mismatch_names_index_and_class(self, monkeypatch):
