@@ -138,12 +138,14 @@ def _value_column(rendered: dict[ClassLabel, str]) -> str:
     labelled = ",".join(f"{label.value}={s}" for label, s in rendered.items())
     if len(labelled) <= 60:
         return labelled
-    # Imported here, the one place that hashes: hashlib loads OpenSSL's
-    # libcrypto, which would add about 3.5 MB to every command's peak memory.
-    import hashlib
+    # BLAKE2 is CPython's own `_blake2` module: `hashlib.blake2b` is this
+    # very function, but importing hashlib loads OpenSSL's libcrypto, about
+    # 3.5 MB of peak memory, so no command loads OpenSSL.  Imported here,
+    # the one place that hashes.
+    from _blake2 import blake2b
 
     joined = ",".join(rendered.values())
-    return "blake2b:" + hashlib.blake2b(joined.encode(), digest_size=8).hexdigest()
+    return "blake2b:" + blake2b(joined.encode(), digest_size=8).hexdigest()
 
 
 def _cmd_bench(args) -> int:

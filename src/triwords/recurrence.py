@@ -26,10 +26,11 @@ runner, _recurrence, iterates them all into streams from n = 0, for runs
 of rows.  Item n alone comes from a point route in O(log n) big products:
 recurrence_at reduces t^(n-1) modulo the characteristic polynomial
 (Fiduccia), which char_poly reads off the step, as char_poly_check does,
-and coupled_at powers the transition matrix.  That matrix commutes with
-the relabelling A -> B -> C -> A, so each of its powers is fixed by six
-entries, which coupled_at reads off it after checking the commutation;
-a squaring then takes 16 big products, not 64.  Streams and point routes
+and keeps the last residue, which A, B and C share; coupled_at powers
+the transition matrix.  That matrix commutes with the relabelling
+A -> B -> C -> A, so each of its powers is fixed by six entries, which
+coupled_at reads off it after checking the commutation; a squaring then
+takes 16 big products, not 64.  Streams and point routes
 alike take the number type of their seeds, `num`: int by default, or
 `decimal.Decimal` for output, whose text is linear time and whose large
 products use a number-theoretic transform (the caller then reads it in
@@ -41,9 +42,11 @@ elimination identity, all in exact integer arithmetic.
 
 from __future__ import annotations
 
+import decimal
 import operator
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -210,24 +213,37 @@ def recurrence_at(
 
     The recurrence holds from n = d + 1, d = len(seeds) - 1, and x(0) is
     off it.  So with t^(n-1) mod char_poly(seeds, step) = sum c_k t^k,
-    x(n) = sum c_k x(k + 1).  The residue starts at num(1) and the seeds
-    are taken as num; the polynomial's small int coefficients stay ints.
+    x(n) = sum c_k x(k + 1), with the seeds taken as num.  The last
+    residue is kept (see _residue), so a recurrence that shares the
+    polynomial reuses it at the same n.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return num(seeds[0])
-    poly = char_poly(seeds, step)
+    # Keyed on the active decimal context whatever num is, as num may
+    # compute in Decimal under another name; the context's repr names every
+    # setting, so a residue rounded in one context never reaches another,
+    # and its flags, which can only cause a miss.
+    residue = _residue(char_poly(seeds, step), n - 1, num, repr(decimal.getcontext()))
+    return sum(map(operator.mul, residue, map(num, seeds[1:])))
+
+
+# A, B and C share one polynomial, so a point request for all three, as
+# bench and the aligned table make, reduces t^(n-1) once.
+@lru_cache(maxsize=1)
+def _residue(poly: tuple[int, ...], e: int, num: Callable[[int], T], context: str) -> tuple[T, ...]:
+    """t^e mod the monic poly, ascending, from num(1); the small int coefficients of poly stay ints."""
     d = len(poly) - 1
     residue: list[T] = [num(1)]
-    for bit in bin(n - 1)[2:]:
+    for bit in bin(e)[2:]:
         # Square, times t on a 1 bit, then reduce by t^d = -(p_0 + p_1 t + ... + p_(d-1) t^(d-1)).
         residue = [0] * int(bit) + _square(residue)
         while len(residue) > d:
             top = residue.pop()
             for j, p in enumerate(poly[:-1], len(residue) - d):
                 residue[j] -= top * p
-    return sum(map(operator.mul, residue, map(num, seeds[1:])))
+    return tuple(residue)
 
 
 def decoupled_at(label: ClassLabel, n: int, num: Callable[[int], T] = int) -> T:

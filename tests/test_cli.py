@@ -603,6 +603,43 @@ def test_lean_start(argv):
     assert not imported & {"hashlib", "_hashlib", "fractions"}
 
 
+def test_bench_hashes_without_openssl():
+    # bench hashes with CPython's own BLAKE2, `_blake2`, which hashlib only
+    # re-exports, so its digest is hashlib's and OpenSSL is never loaded.
+    import _blake2
+
+    assert hashlib.blake2b is _blake2.blake2b
+    argv = ["bench", "--max-n", "4000", "--engines", "coupled"]
+    strings = [to_decimal(v) for v in bench_engine("coupled", 4000)[1].values()]
+    digest = "blake2b:" + hashlib.blake2b(",".join(strings).encode(), digest_size=8).hexdigest()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "triwords", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    (row,) = proc.stdout.splitlines()[1:]
+    assert row.split()[-1] == digest
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "_blake2" in imported
+    assert not imported & {"hashlib", "_hashlib"}
+    if sys.platform.startswith("linux"):
+        # The shared objects a process maps are listed in /proc/self/maps.
+        script = (
+            "import sys\nfrom triwords.cli import main\n"
+            f"assert main({argv!r}) == 0\nsys.stderr.write(open('/proc/self/maps').read())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[1].split()[-1] == digest
+        assert "libcrypto" not in proc.stderr
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from decimal import Context, Decimal, Inexact, localcontext
 from itertools import islice
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from triwords import recurrence
 from triwords.counting import ClassLabel, ClassVector, composition_sum
+from triwords.digits import EXACT
 from triwords.recurrence import (
     DECOUPLED,
     IDENTITIES,
@@ -26,6 +28,7 @@ from triwords.recurrence import (
     coupled_sequence,
     coupled_step,
     coupled_stream,
+    decoupled_at,
     decoupled_d,
     decoupled_third_order,
     identity_suite,
@@ -192,6 +195,40 @@ class TestDecoupled:
             decoupled_d(n),
         )
         assert got == TRUTH[n]
+
+    @given(st.lists(st.integers(0, 5000), min_size=1, max_size=3), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_shared_residue_matches_a_fresh_one(self, sizes, data):
+        # Requests interleave labels, indices and number types, and repeat
+        # indices often, so the kept residue is both reused and replaced.
+        requests = st.tuples(st.sampled_from(ClassLabel), st.sampled_from(sizes), st.sampled_from((int, Decimal)))
+        for label, n, num in data.draw(st.lists(requests, min_size=1, max_size=8)):
+            seeds, step = DECOUPLED[label]
+            with localcontext(EXACT):
+                got = decoupled_at(label, n, num)
+                if n == 0:
+                    want = num(seeds[0])
+                else:
+                    fresh = recurrence._residue.__wrapped__(char_poly(seeds, step), n - 1, num, "")
+                    want = sum(c * num(x) for c, x in zip(fresh, seeds[1:]))
+            assert type(got) is num
+            assert got == want
+
+    def test_residue_is_not_reused_across_contexts(self):
+        # A residue rounded in a short context must not reach an exact one,
+        # nor one of the same precision that traps the rounding.
+        a, b = (decoupled_at(label, 400) for label in (ClassLabel.A, ClassLabel.B))
+        with localcontext(Context(prec=20)):
+            assert decoupled_at(ClassLabel.A, 400, Decimal) != a
+        with localcontext(EXACT):
+            assert decoupled_at(ClassLabel.B, 400, Decimal) == b
+        # Zero seeds give x(n) = 0 exactly from any residue, so only a
+        # residue recomputed in the trapping context raises.
+        zeros = ((0, 0, 0, 0), DECOUPLED[ClassLabel.A][1])
+        with localcontext(Context(prec=20)):
+            assert recurrence_at(*zeros, 400, Decimal) == 0
+        with localcontext(Context(prec=20, traps=[Inexact])), pytest.raises(Inexact):
+            recurrence_at(*zeros, 400, Decimal)
 
     def test_recurrence_starts_at_four(self):
         # 27*(x(2) - x(1) + 27*x(0)) != x(3) for class A: the n = 0 value
