@@ -5,42 +5,41 @@ counts; six independent exact engines (definition sums, brute-force
 enumeration, coupled/decoupled recurrences, closed forms in Q(i, sqrt3)
 and rational generating functions) compute the same counts and are
 cross-validated bit for bit.
+
+The exports load on first use: reading one imports its module then, so
+importing the package, or running `python -m triwords`, imports only the
+modules that are used.  `engines` binds its engine functions the same way.
 """
 
-from .closedform import case_mod4, closed_form, root_basis
-from .counting import ClassLabel, brute_force_words, classify, composition_sum, direct_sum, trinomial
-from .engines import bench_engine, compute_value, decimal_digits
-from .genfun import gf_coefficients, gf_for_class
-from .recurrence import (
-    TRANSITION_MATRIX,
-    coupled_sequence,
-    decoupled_d,
-    decoupled_third_order,
-    identity_suite,
-    quartic_c,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassLabel",
-    "TRANSITION_MATRIX",
-    "bench_engine",
-    "brute_force_words",
-    "case_mod4",
-    "classify",
-    "closed_form",
-    "composition_sum",
-    "compute_value",
-    "coupled_sequence",
-    "decimal_digits",
-    "decoupled_d",
-    "decoupled_third_order",
-    "direct_sum",
-    "gf_coefficients",
-    "gf_for_class",
-    "identity_suite",
-    "quartic_c",
-    "root_basis",
-    "trinomial",
-]
+
+def _bind_on_first_use(namespace: dict, homes: dict[str, str]):
+    """A module `__getattr__` (PEP 562) for namespace that binds names from their home modules on first use.
+
+    homes maps a module of this package to the space-separated names taken
+    from it; a name is imported, and bound in namespace, when first read.
+    """
+    home_of = {name: home for home, names in homes.items() for name in names.split()}
+
+    def __getattr__(name: str):
+        if name not in home_of:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f"{__name__}.{home_of[name]}"), name)
+        return value
+
+    return __getattr__
+
+
+_EXPORTS = {
+    "closedform": "case_mod4 closed_form root_basis",
+    "counting": "ClassLabel brute_force_words classify composition_sum direct_sum trinomial",
+    "engines": "bench_engine compute_value decimal_digits",
+    "genfun": "gf_coefficients gf_for_class",
+    "recurrence": "TRANSITION_MATRIX coupled_sequence decoupled_d decoupled_third_order identity_suite quartic_c",
+}
+
+__all__ = sorted(" ".join(_EXPORTS.values()).split())
+__getattr__ = _bind_on_first_use(globals(), _EXPORTS)

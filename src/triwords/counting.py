@@ -16,7 +16,7 @@ Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from math import comb
 
@@ -70,15 +70,10 @@ BRUTE_FORCE_MAX_N = 5
 assert 3 * BRUTE_FORCE_MAX_N * (3 * BRUTE_FORCE_MAX_N + 1) < 256, "brute-force word codes must fit in one byte"
 
 
-@dataclass(frozen=True, slots=True)
-class ClassVector:
+class ClassVector(namedtuple("ClassVector", "n a b c d")):
     """The four class counts (C_A, C_B, C_C, C_D) at a given index n."""
 
-    n: int
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
     @property
     def total(self) -> int:

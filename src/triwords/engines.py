@@ -22,25 +22,30 @@ factorisation and identity suite.
 
 from __future__ import annotations
 
+import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, islice
 from typing import Any, Callable, Iterator
 
-from .closedform import case_mod4_vector, closed_form_vector, root_basis_vector
+from . import _bind_on_first_use
 from .counting import BRUTE_FORCE_MAX_N, ClassLabel, ClassVector, brute_force_words, composition_sum
 from .digits import brief, decimal_digits  # decimal_digits is imported from here too
-from .genfun import gf_at, gf_for_class, gf_stream
-from .recurrence import (
-    char_poly_check,
-    coupled_at,
-    coupled_stream,
-    decoupled_at,
-    decoupled_stream,
-    identity_suite,
-    quartic_c,
-    quartic_c_stream,
+
+# The functions this module takes from each engine module.  Each binds on
+# first use, so a command imports only its own engine's module.
+__getattr__ = _bind_on_first_use(
+    globals(),
+    {
+        "closedform": "case_mod4_vector closed_form_vector root_basis_vector",
+        "genfun": "gf_at gf_for_class gf_stream",
+        "recurrence": "char_poly_check coupled_at coupled_stream decoupled_at decoupled_stream identity_suite "
+        "quartic_c quartic_c_stream",
+    },
 )
+
+# This module, whose attributes the registry reads at call time.
+_here = sys.modules[__name__]
 
 ALL_LABELS = (ClassLabel.A, ClassLabel.B, ClassLabel.C, ClassLabel.D)
 
@@ -70,20 +75,19 @@ def _pick(v: ClassVector, labels: tuple[ClassLabel, ...]) -> tuple[int, ...]:
     return tuple(map(v.component, labels))
 
 
-@dataclass(frozen=True, slots=True)
-class EngineInfo:
-    name: str
-    min_n: int
-    max_n: int | None
-    labels: tuple[ClassLabel, ...]
-    point: Point
-    # the engine's own stream route; without one, rows maps at over n
-    stream: Rows | None = None
-    # validation stops here even where the engine itself goes further
-    check_max_n: int | None = None
-    # point computes on ints only, and at converts its values to num: the
-    # enumerators, whose many mid-size products run faster on ints than on Decimal
-    ints_only: bool = False
+class EngineInfo(
+    namedtuple("EngineInfo", "name min_n max_n labels point stream check_max_n ints_only", defaults=(None, None, False))
+):
+    """An engine's domain, its classes from min_n to max_n (None: no cap), and its point route.
+
+    stream is the engine's own stream route; without one, rows maps at over
+    n.  Validation stops at check_max_n even where the engine itself goes
+    further.  With ints_only, point computes on ints only and at converts
+    its values to num: the enumerators, whose many mid-size products run
+    faster on ints than on Decimal.
+    """
+
+    __slots__ = ()
 
     def at(self, labels: tuple[ClassLabel, ...], n: int, num: Num = int) -> tuple:
         """The values of those classes at n, in label order and as num."""
@@ -99,9 +103,10 @@ class EngineInfo:
         return (self.at(labels, n, num) for n in range(lo, hi + 1))
 
 
-# The lambdas look their engine functions up by name at call time, so the
-# registry follows whatever this module's names are bound to.  A point
-# function hands its trailing num, if any, to the engine function.
+# The lambdas read their engine functions as attributes of this module at
+# call time, so the registry follows whatever those names are bound to, and
+# the first call binds a name and imports its module (see __getattr__).  A
+# point function hands its trailing num, if any, to the engine function.
 ENGINES: dict[str, EngineInfo] = {
     e.name: e
     for e in (
@@ -109,22 +114,23 @@ ENGINES: dict[str, EngineInfo] = {
                    lambda labels, n: _pick(brute_force_words(n), labels), ints_only=True),
         EngineInfo("compsum", 0, None, ALL_LABELS,
                    lambda labels, n: _pick(composition_sum(n), labels), check_max_n=300, ints_only=True),
-        EngineInfo("coupled", 0, None, ALL_LABELS, lambda labels, n, *num: _pick(coupled_at(n, *num), labels),
-                   _streamed(lambda labels, num: (_pick(v, labels) for v in coupled_stream(num)))),
+        EngineInfo("coupled", 0, None, ALL_LABELS, lambda labels, n, *num: _pick(_here.coupled_at(n, *num), labels),
+                   _streamed(lambda labels, num: (_pick(v, labels) for v in _here.coupled_stream(num)))),
         EngineInfo("decoupled", 0, None, ALL_LABELS,
-                   lambda labels, n, *num: tuple(decoupled_at(label, n, *num) for label in labels),
-                   _streamed(lambda labels, num: zip(*(decoupled_stream(label, num) for label in labels)))),
-        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), lambda labels, n, *num: (quartic_c(n, *num),),
-                   _streamed(lambda labels, num: zip(quartic_c_stream(num)))),
+                   lambda labels, n, *num: tuple(_here.decoupled_at(label, n, *num) for label in labels),
+                   _streamed(lambda labels, num: zip(*(_here.decoupled_stream(label, num) for label in labels)))),
+        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), lambda labels, n, *num: (_here.quartic_c(n, *num),),
+                   _streamed(lambda labels, num: zip(_here.quartic_c_stream(num)))),
         EngineInfo("closed", 1, None, ALL_LABELS,
-                   lambda labels, n, *num: _pick(closed_form_vector(n, *num), labels)),
+                   lambda labels, n, *num: _pick(_here.closed_form_vector(n, *num), labels)),
         EngineInfo("rootbasis", 1, None, ALL_LABELS,
-                   lambda labels, n, *num: _pick(root_basis_vector(n, *num), labels)),
+                   lambda labels, n, *num: _pick(_here.root_basis_vector(n, *num), labels)),
         EngineInfo("mod4", 1, None, ALL_LABELS,
-                   lambda labels, n, *num: _pick(case_mod4_vector(n, *num), labels)),
+                   lambda labels, n, *num: _pick(_here.case_mod4_vector(n, *num), labels)),
         EngineInfo("genfun", 0, None, ALL_LABELS,
-                   lambda labels, n, *num: tuple(gf_at(gf_for_class(label), n, *num) for label in labels),
-                   _streamed(lambda labels, num: zip(*(gf_stream(gf_for_class(label), num) for label in labels)))),
+                   lambda labels, n, *num: tuple(_here.gf_at(_here.gf_for_class(label), n, *num) for label in labels),
+                   _streamed(lambda labels, num: zip(*(_here.gf_stream(_here.gf_for_class(label), num)
+                                                       for label in labels)))),
     )
 }
 
@@ -178,11 +184,7 @@ def compute_series(engine: str, max_n: int) -> list[ClassVector]:
     return list(series(engine, max_n))
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 
 def _agreement(name: str, reference: list[ClassVector], info: EngineInfo, lo: int, hi: int) -> CheckResult:
@@ -229,12 +231,12 @@ def run_validation(max_n: int) -> list[CheckResult]:
     results.append(
         CheckResult(
             "char-poly-factorization",
-            char_poly_check(),
+            _here.char_poly_check(),
             "x^4 - 26x^3 - 702x - 729 = (x+1)(x^3 - 27(x^2 - x + 27))",
         )
     )
 
-    report = identity_suite(max_n, sequence=reference, strict=False)
+    report = _here.identity_suite(max_n, sequence=reference, strict=False)
     for r in report.results:
         detail = f"{r.relation} ({r.checked} indices)" if r.passed else f"{r.relation}; fails at n={r.first_failure}"
         results.append(CheckResult(f"identity/{r.name}", r.passed, detail))

@@ -18,8 +18,7 @@ gf_stream reads coefficients in order, gf_at one by Bostan-Mori halving.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from itertools import count, islice
 from typing import Callable, Iterator, TypeVar
 
@@ -55,18 +54,16 @@ def poly_mul(p, q) -> IntPolynomial:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class RationalGF:
-    """A rational generating function numerator/denominator pair."""
+class RationalGF(namedtuple("RationalGF", "numerator denominator")):
+    """A rational generating function numerator/denominator pair, each trimmed by poly_trim."""
 
-    numerator: IntPolynomial
-    denominator: IntPolynomial
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "numerator", poly_trim(self.numerator))
-        object.__setattr__(self, "denominator", poly_trim(self.denominator))
-        if not self.denominator or self.denominator[0] == 0:
+    def __new__(cls, numerator, denominator) -> RationalGF:
+        numerator, denominator = poly_trim(numerator), poly_trim(denominator)
+        if not denominator or denominator[0] == 0:
             raise ValueError("denominator must have a nonzero constant term")
+        return super().__new__(cls, numerator, denominator)
 
 
 # Numerators and denominators kept in factored form; expansion and sign

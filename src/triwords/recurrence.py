@@ -44,15 +44,13 @@ from __future__ import annotations
 
 import decimal
 import operator
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .counting import ClassLabel, ClassVector, InternalError
 from .digits import brief
-from .genfun import poly_mul
 
 T = TypeVar("T")
 
@@ -281,6 +279,8 @@ def char_poly_check() -> bool:
     Reads both off the steps that C's streams and point routes run, and
     compares the expanded right-hand side with the left coefficient by coefficient.
     """
+    from .genfun import poly_mul  # here, so that the recurrence engines never load genfun
+
     return poly_mul((1, 1), char_poly(*DECOUPLED[ClassLabel.C])) == char_poly(*QUARTIC_C)
 
 
@@ -364,21 +364,16 @@ IDENTITIES: tuple[tuple[str, str, int, int, _Residual], ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityResult:
-    name: str
-    relation: str
-    checked: int
-    first_failure: int | None
+class IdentityResult(namedtuple("IdentityResult", "name relation checked first_failure")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.first_failure is None
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityReport:
-    results: tuple[IdentityResult, ...]
+class IdentityReport(namedtuple("IdentityReport", "results")):
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:

@@ -21,7 +21,6 @@ them, with no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from numbers import Rational
 from typing import Callable
@@ -37,14 +36,42 @@ class NotRationalInteger(InternalError):
 RationalLike = Rational | Decimal
 
 
-@dataclass(frozen=True, slots=True)
 class AlgebraicQ3i:
-    """An element a + b*sqrt3 + c*i + d*i*sqrt3 with rational (int, Fraction, Decimal, ...) coordinates."""
+    """An element a + b*sqrt3 + c*i + d*i*sqrt3 with rational (int, Fraction, Decimal, ...) coordinates.
 
-    a: RationalLike = 0
-    b: RationalLike = 0
-    c: RationalLike = 0
-    d: RationalLike = 0
+    Immutable: its coordinates are set once, and equality and hash are those of the coordinate tuple.
+    """
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: RationalLike = 0, b: RationalLike = 0, c: RationalLike = 0, d: RationalLike = 0):
+        object.__setattr__(self, "a", a)  # past __setattr__, which refuses assignment
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _coords(self) -> tuple:
+        return (self.a, self.b, self.c, self.d)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._coords() == other._coords()
+
+    def __hash__(self) -> int:
+        return hash(self._coords())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__, as assignment is refused
+        return type(self), self._coords()
 
     def __add__(self, other: AlgebraicQ3i | RationalLike) -> AlgebraicQ3i:
         o = _promote(other)

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import gc
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -22,7 +22,7 @@ from triwords.cli import BROKEN_PIPE, OEIS_SEQUENCES, bfile_lines, main
 from triwords.closedform import case_mod4
 from triwords.counting import ClassLabel
 from triwords.digits import STR_BITS, to_decimal
-from triwords.engines import bench_engine, compute_series, compute_value, decimal_digits
+from triwords.engines import ENGINE_IDS, bench_engine, compute_series, compute_value, decimal_digits
 from triwords.recurrence import coupled_sequence
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -293,12 +293,15 @@ class TestTableFormats:
 
 
 def _expected_table(engine: str, max_n: int, fmt: str) -> str:
-    """`table` output in any format, built from the int series with str(), or json.dumps for json."""
+    """`table` output in any format, built from the int series with to_decimal, or json.dumps for json.
+
+    to_decimal is str() without the int-to-str cap, bound here before any fixture patches it out.
+    """
     header = ["n", "C_A", "C_B", "C_C", "C_D", "total"]
     if fmt == "json":
         rows = [dict(zip(header, (v.n, *v.as_tuple(), v.total))) for v in compute_series(engine, max_n)]
         return json.dumps({"engine": engine, "max_n": max_n, "rows": rows}, indent=2) + "\n"
-    lines = [header] + [[str(x) for x in (v.n, *v.as_tuple(), v.total)] for v in compute_series(engine, max_n)]
+    lines = [header] + [[to_decimal(x) for x in (v.n, *v.as_tuple(), v.total)] for v in compute_series(engine, max_n)]
     if fmt == "csv":
         return "".join(",".join(line) + "\n" for line in lines)
     widths = [max(map(len, column)) for column in zip(*lines)]
@@ -360,16 +363,17 @@ class TestEnumeratorsPrintDecimals:
         monkeypatch.setattr("triwords.digits.to_decimal", refuse)
         monkeypatch.setattr("triwords.cli.to_decimal", refuse, raising=False)
 
-    # compsum's values at n = 500 have over 640 digits, the lowest int-to-str cap CPython accepts
+    # compsum's values at n = 500 have over 640 digits, the lowest int-to-str cap CPython accepts, so the
+    # expected text comes from the int values through this module's to_decimal, which the fixture leaves alone
     @pytest.mark.parametrize("engine, n", [("brute", 0), ("brute", 5), ("compsum", 500)])
     def test_compute(self, capsys, engine, n):
         for label in ClassLabel:
-            want = str(compute_value(engine, label, n)) + "\n"
+            want = to_decimal(compute_value(engine, label, n)) + "\n"
             assert run_cli(capsys, "compute", "--engine", engine, "--class", label.value, "--n", str(n)) == (0, want, "")
 
     @pytest.mark.parametrize("engine, n", [("brute", 5), ("compsum", 500)])
     def test_bench(self, capsys, engine, n):
-        strings = [str(v) for v in bench_engine(engine, n)[1].values()]
+        strings = [to_decimal(v) for v in bench_engine(engine, n)[1].values()]
         column = ",".join(f"{label.value}={s}" for label, s in zip(ClassLabel, strings))
         if len(column) > 60:
             column = "blake2b:" + hashlib.blake2b(",".join(strings).encode(), digest_size=8).hexdigest()
@@ -470,7 +474,7 @@ class TestValidate:
 
         def off_by_one(n):
             v = real(n)
-            return dataclasses.replace(v, c=v.c + 1) if n == bad_n else v
+            return v._replace(c=v.c + 1) if n == bad_n else v
 
         monkeypatch.setattr("triwords.engines.case_mod4_vector", off_by_one)
         code, out, _ = run_cli(capsys, "validate", "--max-n", "120")
@@ -601,6 +605,89 @@ def test_lean_start(argv):
     imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "triwords.cli" in imported
     assert not imported & {"hashlib", "_hashlib", "fractions"}
+
+
+# The engine modules, outside the core (cli, counting, digits, engines) that every command loads.
+ENGINE_MODULES = {"closedform", "genfun", "recurrence", "ring"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        *(
+            pytest.param(["compute", "--class", "C", "--n", "5", "--engine", engine], loaded, id=f"compute-{engine}")
+            for engine, loaded in [
+                ("brute", set()),
+                ("compsum", set()),
+                ("coupled", {"recurrence"}),
+                ("decoupled", {"recurrence"}),
+                ("quartic-c", {"recurrence"}),
+                ("closed", {"closedform", "ring"}),
+                ("rootbasis", {"closedform", "ring"}),
+                ("mod4", {"closedform", "ring"}),
+                ("genfun", {"genfun"}),
+            ]
+        ),
+        pytest.param(["table", "--format", "csv", "--max-n", "5"], {"recurrence"}, id="table-csv"),
+        pytest.param(["bfile", "A391468", "--max-n", "5"], {"recurrence"}, id="bfile"),
+        pytest.param(["validate", "--max-n", "4"], ENGINE_MODULES, id="validate"),
+        pytest.param(["bench", "--max-n", "4", "--engines", ",".join(ENGINE_IDS)], ENGINE_MODULES, id="bench"),
+    ],
+)
+def test_each_command_loads_only_its_engine_modules(argv, loaded):
+    # sys.modules, not -X importtime, whose list leaves out importlib.import_module,
+    # by which the package binds its engine modules on first use.
+    script = (
+        "import contextlib, io, json, sys\nfrom triwords.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(json.loads(proc.stdout))
+    assert not modules & {"dataclasses", "inspect"}
+    package = {name.removeprefix("triwords.") for name in modules if name.startswith("triwords.")}
+    assert package == {"cli", "counting", "digits", "engines"} | loaded
+
+
+def test_exports_are_their_home_modules_objects():
+    import triwords
+
+    homes = {
+        "closedform": ["case_mod4", "closed_form", "root_basis"],
+        "counting": ["ClassLabel", "brute_force_words", "classify", "composition_sum", "direct_sum", "trinomial"],
+        "digits": ["decimal_digits"],
+        "engines": ["bench_engine", "compute_value"],
+        "genfun": ["gf_coefficients", "gf_for_class"],
+        "recurrence": [
+            "TRANSITION_MATRIX", "coupled_sequence", "decoupled_d", "decoupled_third_order", "identity_suite",
+            "quartic_c",
+        ],
+    }
+    assert sorted(triwords.__all__) == sorted(name for names in homes.values() for name in names)
+    for home, names in homes.items():
+        module = importlib.import_module(f"triwords.{home}")
+        for name in names:
+            assert getattr(triwords, name) is getattr(module, name)
+    with pytest.raises(AttributeError):
+        triwords.no_such_export
+    # engines binds the functions it takes from the engine modules the same way
+    engine_functions = {
+        "closedform": ["case_mod4_vector", "closed_form_vector", "root_basis_vector"],
+        "genfun": ["gf_at", "gf_for_class", "gf_stream"],
+        "recurrence": [
+            "char_poly_check", "coupled_at", "coupled_stream", "decoupled_at", "decoupled_stream", "identity_suite",
+            "quartic_c", "quartic_c_stream",
+        ],
+    }
+    engines = importlib.import_module("triwords.engines")
+    for home, names in engine_functions.items():
+        module = importlib.import_module(f"triwords.{home}")
+        for name in names:
+            assert getattr(engines, name) is getattr(module, name)
+    with pytest.raises(AttributeError):
+        engines.no_such_function
 
 
 def test_bench_hashes_without_openssl():

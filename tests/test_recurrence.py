@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from decimal import Context, Decimal, Inexact, localcontext
 from itertools import islice
 
@@ -348,7 +347,7 @@ class TestIdentitySuite:
 
     def test_huge_residual_is_reported_under_default_int_str_cap(self, default_int_str_cap):
         bad = coupled_sequence(3100)
-        bad[3050] = replace(bad[3050], b=0)
+        bad[3050] = bad[3050]._replace(b=0)
         with pytest.raises(IdentityViolation) as err:
             identity_suite(3100, sequence=bad)
         assert (err.value.name, err.value.n) == ("d-prev-from-ab", 3050)

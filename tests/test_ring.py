@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -47,6 +49,21 @@ class TestBasics:
         x = q(1, 2, 3, 4)
         assert x.conjugate() == q(1, 2, -3, -4)
         assert x.conjugate().conjugate() == x
+
+    def test_value_semantics(self):
+        # defaults, equality, hash and repr of the coordinates; no coordinate can change
+        x = q(1, 2, 3, 4)
+        assert AlgebraicQ3i() == AlgebraicQ3i(0, 0, 0, 0) == ZERO and AlgebraicQ3i(5) == AlgebraicQ3i(a=5)
+        assert hash(x) == hash(q(1, 2, 3, 4)) == hash((1, 2, 3, 4)) and x != q(1, 2, 3, 5)
+        assert (x == (1, 2, 3, 4)) is False
+        assert repr(AlgebraicQ3i(1, 0, -2)) == "AlgebraicQ3i(a=1, b=0, c=-2, d=0)"
+        with pytest.raises(AttributeError):
+            x.a = 0
+        with pytest.raises(AttributeError):
+            del x.d
+        with pytest.raises(AttributeError):
+            x.e = 0
+        assert copy.copy(x) == pickle.loads(pickle.dumps(x)) == x
 
     def test_str_smoke(self):
         assert str(ZERO) == "0"
