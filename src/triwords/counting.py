@@ -61,13 +61,17 @@ _DIRECT_SUM_RULES: dict[ClassLabel, tuple[int, tuple[int, int, int], int]] = {
     ClassLabel.D: (1, (0, 1, 2), 6),
 }
 
-# brute_force_words(5) forms and classifies its 3^15 words in about 0.06 s
+# brute_force_words(5) forms and classifies its 3^15 words in 0.03-0.04 s
 # (2 vCPUs, CPython 3.11).  The cap stays at 5 for two reasons.  A word's
 # code n1*(3n + 1) + n2 is at most 3n*(3n + 1): 240 at n = 5 but 342 at
 # n = 6, past the one byte that bytes.translate maps.  And validate prints
 # the brute check's range as "n = 0..5".
 BRUTE_FORCE_MAX_N = 5
 assert 3 * BRUTE_FORCE_MAX_N * (3 * BRUTE_FORCE_MAX_N + 1) < 256, "brute-force word codes must fit in one byte"
+
+
+# Position of each label's field in a ClassVector, after n.
+_FIELD_INDEX = {label: i for i, label in enumerate(ClassLabel, 1)}
 
 
 class ClassVector(namedtuple("ClassVector", "n a b c d")):
@@ -80,7 +84,7 @@ class ClassVector(namedtuple("ClassVector", "n a b c d")):
         return self.a + self.b + self.c + self.d
 
     def component(self, label: ClassLabel) -> int:
-        return getattr(self, label.name.lower())  # each field is named for its label
+        return self[_FIELD_INDEX[label]]  # the field named for the label, read by position
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -152,10 +156,12 @@ def brute_force_words(n: int) -> ClassVector:
 
     classify is asked once for each distinct word code, on its count
     triple.  For each distinct prefix code p, a 256-byte table maps every
-    suffix code s to the index of classify's verdict on the code p + s.
+    suffix code s to the index of classify's verdict on the code p + s,
+    and a second bytes object lists the suffix codes whose word is in D.
     Translating the suffix codes through the table of each prefix in turn
-    (duplicates included) gives one class byte per word, and bytes.count
-    tallies the classes.  Both run in C, one byte per word.
+    (duplicates included), deleting those D codes, leaves one class byte
+    per A, B or C word: a third of the words.  bytes.count tallies A, B
+    and C, and each deleted byte is a D word.  Both run in C.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -183,13 +189,16 @@ def brute_force_words(n: int) -> ClassVector:
         table = bytearray(b"\xff" * 256)  # suffix codes that never occur fall outside the four classes
         for s in suffix_codes:
             table[s] = verdict[p + s]
-        tables[p] = table
-    tally = [0, 0, 0, 0]
+        tables[p] = table, bytes(s for s in suffix_codes if table[s] == 3)  # 3: the index of D
+    a = b = c = d = 0
+    words = len(suffixes)
     for p in prefixes:
-        words = suffixes.translate(tables[p])
-        for i in range(4):
-            tally[i] += words.count(i)
-    return ClassVector(n, *tally)
+        kept = suffixes.translate(*tables[p])
+        a += kept.count(0)
+        b += kept.count(1)
+        c += kept.count(2)
+        d += words - len(kept)
+    return ClassVector(n, a, b, c, d)
 
 
 def composition_sum(n: int) -> ClassVector:
@@ -210,19 +219,27 @@ def composition_sum(n: int) -> ClassVector:
     residues satisfy r3 = -(r1 + r2) mod 3, so all three are equal exactly
     when r2 = r1 (then r3 = -2*r1 = r1 mod 3).  Each row therefore feeds
     C(N, n1) * S_{r1} to the single same-residue class given by r1, and
-    C(N, n1) times the other two sums to D.
+    C(N, n1) times the other two sums to D.  As n1 = N - m, r1 is -m mod 3,
+    so the rows cycle through classes A, C, B; the sweep keeps the three
+    sums and four tallies in locals and picks the row's class by m mod 3.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     N = 3 * n
-    tally = [0, 0, 0, 0]
+    a = b = c = d = 0
     row = 1  # C(N, n1), from n1 = N
-    s = (1, 0, 0)  # S_0, S_1, S_2 at m = 0
+    s0, s1, s2 = 1, 0, 0  # S_0, S_1, S_2 at m = 0
     for m in range(N + 1):
-        n1 = N - m
-        r1 = n1 % 3
-        tally[r1] += row * s[r1]
-        tally[3] += row * (s[r1 - 1] + s[r1 - 2])  # the other two residues; the index wraps mod 3
-        row = row * n1 // (m + 1)
-        s = (s[0] + s[2], s[1] + s[0], s[2] + s[1])
-    return ClassVector(n, tally[0], tally[1], tally[2], tally[3])
+        r = m % 3
+        if r == 0:  # n1 = 0 (mod 3): class A
+            a += row * s0
+            d += row * (s1 + s2)
+        elif r == 1:  # n1 = 2 (mod 3): class C
+            c += row * s2
+            d += row * (s0 + s1)
+        else:  # n1 = 1 (mod 3): class B
+            b += row * s1
+            d += row * (s2 + s0)
+        row = row * (N - m) // (m + 1)
+        s0, s1, s2 = s0 + s2, s1 + s0, s2 + s1
+    return ClassVector(n, a, b, c, d)

@@ -77,12 +77,12 @@ class AlgebraicQ3i:
         o = _promote(other)
         if o is None:
             return NotImplemented
-        return AlgebraicQ3i(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        return _make(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
 
     __radd__ = __add__
 
     def __neg__(self) -> AlgebraicQ3i:
-        return AlgebraicQ3i(-self.a, -self.b, -self.c, -self.d)
+        return _make(-self.a, -self.b, -self.c, -self.d)
 
     def __sub__(self, other: AlgebraicQ3i | RationalLike) -> AlgebraicQ3i:
         o = _promote(other)
@@ -102,7 +102,7 @@ class AlgebraicQ3i:
             return NotImplemented
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        return AlgebraicQ3i(
+        return _make(
             a1 * a2 + 3 * b1 * b2 - c1 * c2 - 3 * d1 * d2,
             a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
             a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
@@ -127,7 +127,7 @@ class AlgebraicQ3i:
 
     def conjugate(self) -> AlgebraicQ3i:
         """Complex conjugate: i -> -i, i.e. (a, b, c, d) -> (a, b, -c, -d)."""
-        return AlgebraicQ3i(self.a, self.b, -self.c, -self.d)
+        return _make(self.a, self.b, -self.c, -self.d)
 
     def to_integer(self) -> int | Decimal:
         """Convert to a plain integer, or raise NotRationalInteger.
@@ -155,11 +155,25 @@ class AlgebraicQ3i:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+_new = object.__new__
+_set_a, _set_b, _set_c, _set_d = (getattr(AlgebraicQ3i, slot).__set__ for slot in AlgebraicQ3i.__slots__)
+
+
+def _make(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> AlgebraicQ3i:
+    """AlgebraicQ3i(a, b, c, d) for the arithmetic: the slots' own setters, past __init__'s object.__setattr__."""
+    x = _new(AlgebraicQ3i)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_c(x, c)
+    _set_d(x, d)
+    return x
+
+
 def _promote(value: AlgebraicQ3i | RationalLike) -> AlgebraicQ3i | None:
     if isinstance(value, AlgebraicQ3i):
         return value
     if isinstance(value, (Rational, Decimal)):
-        return AlgebraicQ3i(value)
+        return _make(value, 0, 0, 0)
     return None
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from triwords import cli, closedform
+from triwords import cli, closedform, recurrence
 from triwords.cli import BROKEN_PIPE, OEIS_SEQUENCES, bfile_lines, main
 from triwords.closedform import case_mod4
 from triwords.counting import ClassLabel
@@ -456,7 +456,7 @@ class TestValidate:
         assert all(line.startswith("PASS") for line in lines[:-1])
         names = [line.split()[1] for line in lines[:-1]]
         assert names == sorted(names)
-        assert "19/19 checks passed" in lines[-1]
+        assert "20/20 checks passed" in lines[-1]
         assert "n=4: 59535+58806+58806+354294 = 531441 = 3^12" in out
 
     def test_too_small_max_n(self, capsys):
@@ -480,7 +480,37 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", "--max-n", "120")
         assert code == 1
         assert f"FAIL  engine/mod4-vs-coupled: mismatch at n={bad_n} class C: {shown}\n" in out
-        assert "18/19 checks passed" in out
+        assert "19/20 checks passed" in out
+
+    def test_reference_point_route_is_checked(self, capsys, monkeypatch):
+        # _six_mul with 3 * f1 * e2 changed to 4 * f1 * e2: only coupled's point route multiplies in six-entry form
+        real = recurrence._six_mul
+
+        def mutant(x, y):
+            *head, g = real(x, y)
+            return (*head, g + x[4] * y[3])  # x[4] is f1, y[3] is e2
+
+        monkeypatch.setattr(recurrence, "_six_mul", mutant)
+        code, out, _ = run_cli(capsys, "validate", "--max-n", "300")
+        assert code == 1
+        assert "FAIL  engine/coupled-point-vs-stream: point route mismatch at n=3 class D: 14094 != 13122\n" in out
+        assert "19/20 checks passed" in out
+
+    def test_identity_index_counts(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--max-n", "40")
+        assert code == 0
+        counts = dict(re.findall(r"^PASS  identity/(\S+): .* \((\d+) indices\)$", out, re.MULTILINE))
+        assert counts == {
+            "a-step-sans-d": "40",
+            "ab-window-narrow": "39",
+            "ab-window-wide": "38",
+            "c-from-ab-window": "39",
+            "c-step-sans-d": "40",
+            "cd-window-a": "39",
+            "cd-window-b": "39",
+            "d-minus-3c": "40",
+            "d-prev-from-ab": "40",
+        }
 
     def test_failure_exit_status(self, capsys, monkeypatch):
         from triwords.engines import CheckResult

@@ -159,6 +159,15 @@ class TestBruteForce:
         assert brute_force_words(n) == ClassVector(n, 0, 0, 0, 27**n)
         assert seen and all(min(c) >= 0 and sum(c) == 3 * n for c in seen)
 
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("label", list(ClassLabel))
+    def test_every_word_lands_in_the_forced_class(self, n, label, monkeypatch):
+        """D is tallied by subtraction and A, B, C by count: forcing each class in turn exercises both."""
+        monkeypatch.setattr("triwords.counting.classify", lambda counts: label)
+        counts = dict.fromkeys(ClassLabel, 0)
+        counts[label] = 27**n
+        assert brute_force_words(n) == ClassVector(n, *counts.values())
+
 
 class TestCompositionSum:
     def test_n1(self):

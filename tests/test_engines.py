@@ -226,7 +226,7 @@ class TestValidation:
         names = [r.name for r in results]
         assert "sum-identity" in names
         assert "char-poly-factorization" in names
-        assert sum(name.startswith("engine/") for name in names) == 8
+        assert sum(name.startswith("engine/") for name in names) == 9
         assert sum(name.startswith("identity/") for name in names) == 9
 
     def test_minimum_max_n(self):

@@ -324,7 +324,27 @@ class TestEngineEquivalence:
             assert decoupled_d(n) == v.d
 
 
+class _ReadRecorder:
+    """A sequence that records the offsets from n of the indices an identity reads, and reads zeros."""
+
+    def __init__(self, n):
+        self.n = n
+        self.offsets = set()
+
+    def __getitem__(self, k):
+        self.offsets.add(k - self.n)
+        return ClassVector(k, 0, 0, 0, 0)
+
+
 class TestIdentitySuite:
+    @pytest.mark.parametrize("identity", IDENTITIES, ids=[identity[0] for identity in IDENTITIES])
+    def test_declared_windows_are_the_read_ones(self, identity):
+        # the first n whose reads are all >= 0, and the furthest read past n
+        _, _, first_valid, lookahead, residual = identity
+        view = _ReadRecorder(10)
+        residual(view, view.n)
+        assert (first_valid, lookahead) == (max(0, -min(view.offsets)), max(0, max(view.offsets)))
+
     def test_all_pass_to_ten(self):
         report = identity_suite(10)
         assert report.all_pass
