@@ -80,7 +80,7 @@ def closed_form_vector(n: int, num: Callable[[int], T] = int) -> ClassVector:
 def root_basis_vector(n: int, num: Callable[[int], T] = int) -> ClassVector:
     """Evaluate every class at n as a combination of the root powers, over the denominator 18, as num."""
     _require_positive(n)
-    x1n, x2n = num(X1) ** n, AlgebraicQ3i(*map(num, (X2.a, X2.b, X2.c, X2.d))) ** n
+    x1n, x2n = num(X1) ** n, AlgebraicQ3i(*map(num, X2)) ** n
     x3n = x2n.conjugate()  # X3 is X2's conjugate, and conjugation is a ring automorphism
     rows = (_ROOT_BASIS_X18[label] for label in ClassLabel)
     return ClassVector(n, *(_exact_quotient(c1 * x1n + c2 * x2n + c3 * x3n, 18) for c1, c2, c3 in rows))

@@ -90,6 +90,14 @@ def gf_for_class(label: ClassLabel) -> RationalGF:
     return RationalGF(numerator, denominator)
 
 
+def _unit_constant_term(gf: RationalGF) -> int:
+    """The denominator's constant term q_0; NonUnitConstantTerm unless it is +-1, which keeps coefficients integral."""
+    q0 = gf.denominator[0]
+    if q0 not in (1, -1):
+        raise NonUnitConstantTerm(f"denominator constant term is {q0}, need +-1")
+    return q0
+
+
 def gf_stream(gf: RationalGF, num: Callable[[int], T] = int) -> Iterator[T]:
     """Taylor coefficients c_0, c_1, c_2, ... of a rational generating function.
 
@@ -100,9 +108,7 @@ def gf_stream(gf: RationalGF, num: Callable[[int], T] = int) -> Iterator[T]:
     q = gf.denominator
     p = tuple(map(num, gf.numerator))
     zero = num(0)
-    q0 = q[0]
-    if q0 not in (1, -1):
-        raise NonUnitConstantTerm(f"denominator constant term is {q0}, need +-1")
+    q0 = _unit_constant_term(gf)
     recent: deque[T] = deque(maxlen=len(q) - 1)  # c_{n-1}, c_{n-2}, ...
     for n in count():
         acc = p[n] if n < len(p) else zero
@@ -141,8 +147,7 @@ def gf_at(gf: RationalGF, n: int, num: Callable[[int], T] = int) -> T:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if gf.denominator[0] not in (1, -1):
-        raise NonUnitConstantTerm(f"denominator constant term is {gf.denominator[0]}, need +-1")
+    _unit_constant_term(gf)
     p, q = tuple(map(num, gf.numerator)), tuple(map(num, gf.denominator))
     while n:
         terms = n // 2 + 1

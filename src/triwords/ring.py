@@ -8,7 +8,13 @@ makes 3 == Fraction(3) == Decimal(3) with equal hashes, so equal values
 compare and hash equal whichever type they hold.  The engine paths use ints,
 or Decimals in the exact context `digits.EXACT` when a value is computed to
 be printed; the closed forms clear their denominators, so this module never
-imports `fractions`.  The multiplication table is
+imports `fractions`.  An element is a `namedtuple` record of its four
+coordinates, like every record in the package, but it equals no plain
+tuple, has no order, and its + and * are the ring's: an operand that is
+neither an element nor a coordinate raises TypeError, where the tuple
+underneath would concatenate.  It is an integer when its last three
+coordinates vanish and divmod(a, 1) leaves no remainder, one rule for
+every coordinate type.  The multiplication table is
 
     sqrt3 * sqrt3 = 3          i * i = -1
     sqrt3 * i     = i*sqrt3    (i*sqrt3) * (i*sqrt3) = -3
@@ -21,9 +27,10 @@ them, with no floating point anywhere.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from decimal import Decimal
 from numbers import Rational
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .counting import InternalError
 from .digits import brief
@@ -36,78 +43,51 @@ class NotRationalInteger(InternalError):
 RationalLike = Rational | Decimal
 
 
-class AlgebraicQ3i:
+class AlgebraicQ3i(namedtuple("AlgebraicQ3i", "a b c d", defaults=(0, 0, 0, 0))):
     """An element a + b*sqrt3 + c*i + d*i*sqrt3 with rational (int, Fraction, Decimal, ...) coordinates.
 
-    Immutable: its coordinates are set once, and equality and hash are those of the coordinate tuple.
+    Equality and hash are the coordinate tuple's, but only another element is ever equal.
     """
 
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: RationalLike = 0, b: RationalLike = 0, c: RationalLike = 0, d: RationalLike = 0):
-        object.__setattr__(self, "a", a)  # past __setattr__, which refuses assignment
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _coords(self) -> tuple:
-        return (self.a, self.b, self.c, self.d)
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._coords() == other._coords()
+        return other.__class__ is AlgebraicQ3i and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._coords())
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
+    __hash__ = tuple.__hash__
 
-    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__, as assignment is refused
-        return type(self), self._coords()
+    def _unordered(self, other: object) -> NoReturn:
+        raise TypeError("ring elements have no order")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __add__(self, other: AlgebraicQ3i | RationalLike) -> AlgebraicQ3i:
         o = _promote(other)
-        if o is None:
-            return NotImplemented
-        return _make(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        return tuple.__new__(AlgebraicQ3i, (self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d))
 
     __radd__ = __add__
 
     def __neg__(self) -> AlgebraicQ3i:
-        return _make(-self.a, -self.b, -self.c, -self.d)
+        return tuple.__new__(AlgebraicQ3i, (-self.a, -self.b, -self.c, -self.d))
 
     def __sub__(self, other: AlgebraicQ3i | RationalLike) -> AlgebraicQ3i:
-        o = _promote(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-_promote(other))
 
     def __rsub__(self, other: AlgebraicQ3i | RationalLike) -> AlgebraicQ3i:
-        o = _promote(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return _promote(other) - self
 
     def __mul__(self, other: AlgebraicQ3i | RationalLike) -> AlgebraicQ3i:
-        o = _promote(other)
-        if o is None:
-            return NotImplemented
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        return _make(
+        a1, b1, c1, d1 = self
+        a2, b2, c2, d2 = _promote(other)
+        return tuple.__new__(AlgebraicQ3i, (
             a1 * a2 + 3 * b1 * b2 - c1 * c2 - 3 * d1 * d2,
             a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
             a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+        ))
 
     __rmul__ = __mul__
 
@@ -127,27 +107,26 @@ class AlgebraicQ3i:
 
     def conjugate(self) -> AlgebraicQ3i:
         """Complex conjugate: i -> -i, i.e. (a, b, c, d) -> (a, b, -c, -d)."""
-        return _make(self.a, self.b, -self.c, -self.d)
+        return tuple.__new__(AlgebraicQ3i, (self.a, self.b, -self.c, -self.d))
 
     def to_integer(self) -> int | Decimal:
         """Convert to a plain integer, or raise NotRationalInteger.
 
-        Succeeds only when the sqrt3, i and i*sqrt3 coordinates all vanish
-        and the remaining rational is an integer: an int for a rational
-        coordinate, a Decimal for a Decimal one.  A failure here means some
-        formula upstream was transcribed wrongly, so the error is loud on
-        purpose.
+        One rule for every coordinate type: the sqrt3, i and i*sqrt3
+        coordinates must vanish, and divmod(a, 1) must leave no remainder;
+        its quotient is the value, an int for an int or a Fraction and a
+        Decimal for a Decimal.  A Decimal divides in the current context,
+        which signals when the quotient has more digits than its precision,
+        as for a value rounded in the 28-digit default context.  A failure
+        here means some formula upstream was transcribed wrongly, so the
+        error is loud on purpose.
         """
         if self.b or self.c or self.d:
             raise NotRationalInteger(f"{self} has irrational or imaginary parts")
-        a = self.a
-        if isinstance(a, Decimal):
-            if a != a.to_integral_value():
-                raise NotRationalInteger(f"{self} is not an integer")
-            return a
-        if a.denominator != 1:
+        quotient, remainder = divmod(self.a, 1)
+        if remainder:
             raise NotRationalInteger(f"{self} is not an integer")
-        return a.numerator
+        return quotient
 
     def __str__(self) -> str:
         terms = ((self.a, ""), (self.b, "*sqrt3"), (self.c, "*i"), (self.d, "*i*sqrt3"))
@@ -155,26 +134,12 @@ class AlgebraicQ3i:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-_new = object.__new__
-_set_a, _set_b, _set_c, _set_d = (getattr(AlgebraicQ3i, slot).__set__ for slot in AlgebraicQ3i.__slots__)
-
-
-def _make(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> AlgebraicQ3i:
-    """AlgebraicQ3i(a, b, c, d) for the arithmetic: the slots' own setters, past __init__'s object.__setattr__."""
-    x = _new(AlgebraicQ3i)
-    _set_a(x, a)
-    _set_b(x, b)
-    _set_c(x, c)
-    _set_d(x, d)
-    return x
-
-
-def _promote(value: AlgebraicQ3i | RationalLike) -> AlgebraicQ3i | None:
+def _promote(value: AlgebraicQ3i | RationalLike) -> AlgebraicQ3i:
     if isinstance(value, AlgebraicQ3i):
         return value
     if isinstance(value, (Rational, Decimal)):
-        return _make(value, 0, 0, 0)
-    return None
+        return tuple.__new__(AlgebraicQ3i, (value, 0, 0, 0))
+    raise TypeError(f"a ring element does not combine with {type(value).__name__!r}")
 
 
 ZERO = AlgebraicQ3i()

@@ -6,6 +6,7 @@ import contextlib
 import gc
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
@@ -22,7 +23,7 @@ from triwords.cli import BROKEN_PIPE, OEIS_SEQUENCES, bfile_lines, main
 from triwords.closedform import case_mod4
 from triwords.counting import ClassLabel
 from triwords.digits import STR_BITS, to_decimal
-from triwords.engines import ENGINE_IDS, bench_engine, compute_series, compute_value, decimal_digits
+from triwords.engines import ENGINE_IDS, ENGINES, bench_engine, compute_series, compute_value, decimal_digits
 from triwords.recurrence import coupled_sequence
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -809,3 +810,49 @@ def test_lowest_int_str_cap(capsys, argv):
     _, out, _ = run_cli(capsys, *argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert mask(proc.stdout) == mask(out)
+
+
+def _digest_grid() -> list[list[str]]:
+    """Every command of the byte-stability grid, in a fixed order."""
+    grid = []
+    for engine, info in ENGINES.items():
+        for n in (1, 5) if engine == "brute" else (1, 5, 300):
+            grid += (["compute", "--engine", engine, "--class", label.value, "--n", str(n)] for label in info.labels)
+    for engine in ("coupled", "decoupled", "genfun", "compsum"):
+        grid += (["table", "--engine", engine, "--max-n", "60", "--format", fmt] for fmt in ("csv", "json", "table"))
+    grid.append(["table", "--engine", "brute", "--max-n", "5"])
+    for sequence in OEIS_SEQUENCES:
+        grid += (["bfile", sequence, "--max-n", "60", "--offset", str(offset)] for offset in (0, 1, 5, 60))
+    grid.append(["validate", "--max-n", "40"])
+    grid.append(["bench", "--max-n", "300", "--engines", ",".join(e for e in ENGINE_IDS if e != "brute")])
+    return grid
+
+
+def _output_digests() -> dict[str, str]:
+    """The SHA-256 of each grid command's stdout, by command line; bench's seconds column is left out."""
+    digests = {}
+    for argv in _digest_grid():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0, argv
+        text = out.getvalue()
+        if argv[0] == "bench":
+            text = re.sub(r"(?m)^(\S+ +)\S+ +", r"\1", text)  # seconds differ from run to run
+        digests[" ".join(argv)] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+DIGESTS = ROOT / "tests" / "cli_digests.json"
+
+
+def test_output_digests():
+    # The digests were recorded from an earlier build, so a change that
+    # keeps every printed byte matches them.  A change meant to alter the
+    # output records them afresh with `PYTHONPATH=src python tests/test_cli.py`.
+    recorded = json.loads(DIGESTS.read_text())
+    got = _output_digests()
+    assert list(got) == list(recorded)
+    assert [command for command in got if got[command] != recorded[command]] == []
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(_output_digests(), indent=1) + "\n")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
-from decimal import Decimal, localcontext
+from decimal import Decimal, DecimalException, DefaultContext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -64,6 +64,27 @@ class TestBasics:
         with pytest.raises(AttributeError):
             x.e = 0
         assert copy.copy(x) == pickle.loads(pickle.dumps(x)) == x
+
+    def test_never_equals_a_plain_tuple(self):
+        x = q(1, 2, 3, 4)
+        t = tuple(x)
+        assert (x == t) is False and (t == x) is False
+        assert (x != t) is True and (t != x) is True
+
+    def test_has_no_order(self):
+        x, t = q(1, 2, 3, 4), (1, 2, 3, 4)
+        with pytest.raises(TypeError):
+            x < q(5)
+        with pytest.raises(TypeError):
+            t < x
+
+    def test_plus_is_never_concatenation(self):
+        with pytest.raises(TypeError):
+            (1, 2) + q(1)
+
+    def test_rebuilds_from_its_coordinates(self):
+        x = q(1, 2, 3, 4)
+        assert AlgebraicQ3i(*x) == x
 
     def test_str_smoke(self):
         assert str(ZERO) == "0"
@@ -174,6 +195,11 @@ class TestToInteger:
     def test_non_integer_decimal_rejected(self):
         with pytest.raises(NotRationalInteger, match=r"^2\.5 is not an integer$"):
             AlgebraicQ3i(Decimal("2.5")).to_integer()
+
+    def test_decimal_rounded_in_the_default_context_rejected(self):
+        # 3^1000 has 478 digits, so the default context keeps 28 of them: 1.322...E+477 is no exact integer.
+        with localcontext(DefaultContext), pytest.raises((NotRationalInteger, DecimalException)):
+            AlgebraicQ3i(Decimal(3) ** 1000).to_integer()
 
     def test_imaginary_part_rejected(self):
         with pytest.raises(NotRationalInteger):
