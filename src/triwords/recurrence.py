@@ -36,14 +36,17 @@ alike take the number type of their seeds, `num`: int by default, or
 products use a number-theoretic transform (the caller then reads it in
 `digits.EXACT`).  Every route starts from num seeds and num constants,
 and mixes its values only with small ints, so no computed int is ever
-converted.  The module also adds a numeric identity suite for every intermediate
-elimination identity, all in exact integer arithmetic.
+converted.  The module also checks every intermediate elimination identity
+numerically, in exact integer arithmetic.  Each is stated once, as the
+relation validate prints; its residual, right side minus left side, and its
+window of valid indices are read off that text (IDENTITIES).
 """
 
 from __future__ import annotations
 
 import decimal
 import operator
+import re
 from collections import deque, namedtuple
 from functools import lru_cache
 from itertools import islice
@@ -284,83 +287,40 @@ def char_poly_check() -> bool:
     return poly_mul((1, 1), char_poly(*DECOUPLED[ClassLabel.C])) == char_poly(*QUARTIC_C)
 
 
-# Elimination identities tying the four sequences together.  Each entry is
-# (name, human-readable relation, first valid n, lookahead, residual); the
-# residual is 0 wherever the identity holds.  Valid indices are those where
-# every referenced term exists: first_valid <= n <= N - lookahead.
+# Elimination identities tying the four sequences together, each stated
+# once as (name, relation), the text validate prints.  _identity reads the
+# rest off that text: the residual, right side minus left side, 0 wherever
+# the identity holds, and the window of valid indices, those where every
+# referenced term exists: first_valid <= n <= N - lookahead.
 _Residual = Callable[[Sequence[ClassVector], int], int]
-IDENTITIES: tuple[tuple[str, str, int, int, _Residual], ...] = (
-    (
-        "d-prev-from-ab",
-        "3*D(n-1) = B(n) - 3*B(n-1) - 6*A(n-1)",
-        1,
-        0,
-        lambda s, n: s[n].b - 3 * s[n - 1].b - 6 * s[n - 1].a - 3 * s[n - 1].d,
-    ),
-    (
-        "c-from-ab-window",
-        "54*C(n) = -6*A(n+1) + 54*A(n) - 21*B(n+1) + B(n+2)",
-        0,
-        2,
-        lambda s, n: -6 * s[n + 1].a + 54 * s[n].a - 21 * s[n + 1].b + s[n + 2].b - 54 * s[n].c,
-    ),
-    (
-        "c-step-sans-d",
-        "6*A(n-1) - B(n) - 3*B(n-1) + C(n) - 3*C(n-1) = 0",
-        1,
-        0,
-        lambda s, n: 6 * s[n - 1].a - s[n].b - 3 * s[n - 1].b + s[n].c - 3 * s[n - 1].c,
-    ),
-    (
-        "ab-window-wide",
-        "6*A(n+1) - 72*A(n) - 162*A(n-1) - B(n+2) + 24*B(n+1) - 9*B(n) + 162*B(n-1) = 0",
-        1,
-        2,
-        lambda s, n: (
-            6 * s[n + 1].a
-            - 72 * s[n].a
-            - 162 * s[n - 1].a
-            - s[n + 2].b
-            + 24 * s[n + 1].b
-            - 9 * s[n].b
-            + 162 * s[n - 1].b
-        ),
-    ),
-    (
-        "a-step-sans-d",
-        "A(n) + 3*A(n-1) - B(n) + 3*B(n-1) - 6*C(n-1) = 0",
-        1,
-        0,
-        lambda s, n: s[n].a + 3 * s[n - 1].a - s[n].b + 3 * s[n - 1].b - 6 * s[n - 1].c,
-    ),
-    (
-        "ab-window-narrow",
-        "15*A(n) - 27*A(n-1) - B(n+1) + 12*B(n) + 27*B(n-1) = 0",
-        1,
-        1,
-        lambda s, n: 15 * s[n].a - 27 * s[n - 1].a - s[n + 1].b + 12 * s[n].b + 27 * s[n - 1].b,
-    ),
-    (
-        "d-minus-3c",
-        "D(n) - 3*C(n) = 9*(2*A(n-1) + C(n-1) + D(n-1))",
-        1,
-        0,
-        lambda s, n: s[n].d - 3 * s[n].c - 9 * (2 * s[n - 1].a + s[n - 1].c + s[n - 1].d),
-    ),
-    (
-        "cd-window-a",
-        "3*C(n+1) + 81*C(n-1) - D(n+1) + 12*D(n) + 27*D(n-1) = 0",
-        1,
-        1,
-        lambda s, n: 3 * s[n + 1].c + 81 * s[n - 1].c - s[n + 1].d + 12 * s[n].d + 27 * s[n - 1].d,
-    ),
-    (
-        "cd-window-b",
-        "C(n+1) + 27*C(n-1) - 5*D(n) + 9*D(n-1) = 0",
-        1,
-        1,
-        lambda s, n: s[n + 1].c + 27 * s[n - 1].c - 5 * s[n].d + 9 * s[n - 1].d,
-    ),
+_TERM = re.compile(r"([ABCD])\(n([+-]\d+)?\)")
+
+
+def _identity(name: str, relation: str) -> tuple[str, str, int, int, _Residual]:
+    """(name, relation, first_valid, lookahead, residual) for the relation "left = right".
+
+    The residual is compiled once, with each X(n+k) read as s[n+k].x, into
+    the plain lambda one would write by hand; the window spans the offsets k.
+    """
+    left, right = relation.split(" = ")
+    offsets = [int(k or 0) for _, k in _TERM.findall(relation)]
+    body = _TERM.sub(lambda m: f"s[n{m[2] or ''}].{m[1].lower()}", f"({right}) - ({left})")
+    return name, relation, max(0, -min(offsets)), max(0, max(offsets)), eval(f"lambda s, n: {body}", {})
+
+
+IDENTITIES: tuple[tuple[str, str, int, int, _Residual], ...] = tuple(
+    _identity(name, relation)
+    for name, relation in (
+        ("d-prev-from-ab", "3*D(n-1) = B(n) - 3*B(n-1) - 6*A(n-1)"),
+        ("c-from-ab-window", "54*C(n) = -6*A(n+1) + 54*A(n) - 21*B(n+1) + B(n+2)"),
+        ("c-step-sans-d", "6*A(n-1) - B(n) - 3*B(n-1) + C(n) - 3*C(n-1) = 0"),
+        ("ab-window-wide", "6*A(n+1) - 72*A(n) - 162*A(n-1) - B(n+2) + 24*B(n+1) - 9*B(n) + 162*B(n-1) = 0"),
+        ("a-step-sans-d", "A(n) + 3*A(n-1) - B(n) + 3*B(n-1) - 6*C(n-1) = 0"),
+        ("ab-window-narrow", "15*A(n) - 27*A(n-1) - B(n+1) + 12*B(n) + 27*B(n-1) = 0"),
+        ("d-minus-3c", "D(n) - 3*C(n) = 9*(2*A(n-1) + C(n-1) + D(n-1))"),
+        ("cd-window-a", "3*C(n+1) + 81*C(n-1) - D(n+1) + 12*D(n) + 27*D(n-1) = 0"),
+        ("cd-window-b", "C(n+1) + 27*C(n-1) - 5*D(n) + 9*D(n-1) = 0"),
+    )
 )
 
 

@@ -92,17 +92,18 @@ class AlgebraicQ3i(namedtuple("AlgebraicQ3i", "a b c d", defaults=(0, 0, 0, 0)))
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> AlgebraicQ3i:
-        """Binary exponentiation; exponent must be a nonnegative integer."""
+        """Binary exponentiation from the top bit; exponent must be a nonnegative integer.
+
+        Each bit squares the result, and a 1 bit then multiplies it by self,
+        which stays small: the squarings are the only big-by-big products.
+        """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
         result = ONE
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for bit in bin(exponent)[2:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def conjugate(self) -> AlgebraicQ3i:

@@ -436,6 +436,14 @@ class TestBfile:
         assert code == 2
         assert "max_n" in err
 
+    @pytest.mark.parametrize("offset", [-1, 6])
+    def test_offset_outside_0_to_max_n_rejected(self, capsys, offset):
+        with pytest.raises(ValueError, match=f"^offset must be in 0..max_n, got {offset}$"):
+            bfile_lines("A391468", 5, offset)
+        code, out, err = run_cli(capsys, "bfile", "A391468", "--max-n", "5", "--offset", str(offset))
+        assert (code, out) == (2, "")
+        assert f"offset must be in 0..max_n, got {offset}" in err
+
     def test_streams_lines(self):
         argv = ["bfile", "A391470", "--max-n", "2000"]
         with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):

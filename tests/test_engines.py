@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 from decimal import Decimal, localcontext
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from triwords import engines
 from triwords.closedform import case_mod4_vector
-from triwords.counting import ClassLabel
+from triwords.counting import ClassLabel, brute_force_words, composition_sum
 from triwords.digits import EXACT, LEAF_BITS, STR_BITS, brief, to_decimal
 from triwords.engines import (
     ENGINE_IDS,
@@ -26,7 +27,8 @@ from triwords.engines import (
     run_validation,
     series,
 )
-from triwords.recurrence import quartic_c_stream
+from triwords.genfun import gf_at, gf_for_class
+from triwords.recurrence import coupled_at, quartic_c_stream
 from triwords.ring import AlgebraicQ3i
 from truth_table import TRUTH
 
@@ -218,6 +220,17 @@ class TestValidation:
         assert not result.passed
         assert result.detail == f"point route mismatch at n=40 class B: {brief(want + 1)} != {brief(want)}"
 
+    def test_sum_identity_names_the_first_wrong_total(self, monkeypatch):
+        # the reference stream with D one too large at n = 7 alone
+        real = engines.coupled_stream
+
+        def corrupted(*num):
+            return (v._replace(d=v.d + 1) if v.n == 7 else v for v in real(*num))
+
+        monkeypatch.setattr(engines, "coupled_stream", corrupted)
+        (result,) = [r for r in run_validation(10) if r.name == "sum-identity"]
+        assert result == ("sum-identity", False, "total at n=7 is not 27^7")
+
     def test_all_checks_pass(self):
         results = run_validation(10)
         assert results
@@ -232,6 +245,16 @@ class TestValidation:
     def test_minimum_max_n(self):
         with pytest.raises(ValueError):
             run_validation(3)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [brute_force_words, composition_sum, coupled_at, partial(gf_at, gf_for_class(ClassLabel.A))],
+    ids=["brute_force_words", "composition_sum", "coupled_at", "gf_at"],
+)
+def test_negative_n_rejected(route):
+    with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+        route(-1)
 
 
 class TestBench:

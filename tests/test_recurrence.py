@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from decimal import Context, Decimal, Inexact, localcontext
 from itertools import islice
 
@@ -344,6 +345,21 @@ class TestIdentitySuite:
         view = _ReadRecorder(10)
         residual(view, view.n)
         assert (first_valid, lookahead) == (max(0, -min(view.offsets)), max(0, max(view.offsets)))
+
+    @pytest.mark.parametrize("identity", IDENTITIES, ids=[identity[0] for identity in IDENTITIES])
+    def test_residual_is_right_minus_left_of_the_printed_relation(self, identity):
+        # on random sequences, where no identity holds, the relation text is
+        # evaluated here with its own lookups, so a residual that checks
+        # another relation than the printed one, or with the other sign, differs
+        name, relation, first_valid, lookahead, residual = identity
+        left, right = (compile(side.strip(), name, "eval") for side in relation.split("="))
+        rng = random.Random(name)
+        for _ in range(10):
+            seq = [ClassVector(n, *(rng.randint(-(10**30), 10**30) for _ in "ABCD")) for n in range(8)]
+            lookups = {label: (lambda k, f=label.lower(): getattr(seq[k], f)) for label in "ABCD"}
+            for n in range(first_valid, len(seq) - lookahead):
+                scope = {**lookups, "n": n}
+                assert residual(seq, n) == eval(right, scope) - eval(left, scope), n
 
     def test_all_pass_to_ten(self):
         report = identity_suite(10)
