@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # The CI steps, one function each: `bash tools/ci.sh <step> [args]` runs one
 # step, as the workflow does, and `bash tools/ci.sh all` runs every check in
-# the workflow's order.  Each step sets the int-to-str cap it needs, and
+# the workflow's order.  The script sets each step's int-to-str cap, and
 # point_1000000 its time limit, whatever the caller's environment.  Run it
 # from the repository root, with the package importable (the workflow sets
 # PYTHONPATH=src; so does this script when PYTHONPATH is unset).
 set -eo pipefail
 export PYTHONPATH="${PYTHONPATH:-src}"
-unset PYTHONINTMAXSTRDIGITS
+# 640 digits is the lowest int-to-str cap CPython accepts: under it no step,
+# and no code it runs, may call str() on an int of over 640 digits.  Every
+# step runs under it but tests and bfile_head, which remove it.
+export PYTHONINTMAXSTRDIGITS=640
 if [ -n "$RUNNER_TEMP" ]; then
   tmp="$RUNNER_TEMP"
 else
@@ -19,23 +22,15 @@ install() {
   python -m pip install -e ".[test]"
 }
 
-# 640 digits is the lowest int-to-str cap CPython accepts: under it no step,
-# and no code it runs, may call str() on an int of over 640 digits.
-lowest_cap() {
-  export PYTHONINTMAXSTRDIGITS=640
-}
-
 tests() {
-  python -m pytest -q --continue-on-collection-errors
+  env -u PYTHONINTMAXSTRDIGITS python -m pytest -q --continue-on-collection-errors
 }
 
 tests_capped() {
-  lowest_cap
-  tests
+  python -m pytest -q --continue-on-collection-errors
 }
 
 validate() {
-  lowest_cap
   python -m triwords validate --max-n "$1"
 }
 
@@ -43,11 +38,10 @@ validate() {
 # head's: python exits 141 when head closes the pipe, so pipefail is off.
 bfile_head() {
   set +o pipefail
-  python -m triwords bfile A391470 --max-n 3000 2>"$tmp/err.txt" | head -1 && test ! -s "$tmp/err.txt"
+  env -u PYTHONINTMAXSTRDIGITS python -m triwords bfile A391470 --max-n 3000 2>"$tmp/err.txt" | head -1 && test ! -s "$tmp/err.txt"
 }
 
 tables() {
-  lowest_cap
   for format in csv json table; do
     for engine in coupled decoupled genfun; do
       python -m triwords table --format "$format" --max-n 3000 --engine "$engine" |
@@ -59,7 +53,6 @@ tables() {
 }
 
 point_100000() {
-  lowest_cap
   for pair in A:coupled A:decoupled B:decoupled D:decoupled A:genfun C:quartic-c; do
     cls="${pair%%:*}" engine="${pair#*:}"
     python -m triwords compute --class "$cls" --n 100000 --engine mod4 > "$tmp/point-mod4"
@@ -72,7 +65,6 @@ point_100000() {
 # minutes at n = 10^6 on 3.10 and 3.11, where Decimal(int) is quadratic, so
 # the step fails past its time limit.
 point_1000000() {
-  lowest_cap
   timeout 5m bash "$0" _point_1000000
 }
 
@@ -85,7 +77,6 @@ _point_1000000() {
 }
 
 enumerators() {
-  lowest_cap
   python -m triwords compute --class A --n 1000 --engine mod4 > "$tmp/enum-mod4"
   python -m triwords compute --class A --n 1000 --engine compsum > "$tmp/enum-compsum"
   cmp "$tmp/enum-mod4" "$tmp/enum-compsum"
@@ -100,7 +91,6 @@ enumerators() {
 }
 
 bench() {
-  lowest_cap
   python -S -X importtime -m triwords bench --max-n 4000 --engines compsum,coupled,decoupled,closed,rootbasis,mod4,genfun \
     2> "$tmp/bench-imports" | tee "$tmp/bench"
   awk 'NR > 1 { rows++; if (!($NF in seen)) { seen[$NF]; values++ } }
@@ -108,7 +98,7 @@ bench() {
   if grep -E '\| +_?hashlib$' "$tmp/bench-imports"; then exit 1; fi
 }
 
-# Each step in its own process, so a step's shell options and cap stay its own.
+# Each step in its own process, so a step's shell options stay its own.
 all() {
   for step in tests tests_capped; do bash "$0" "$step"; done
   for max_n in 40 300 1000 3000; do bash "$0" validate "$max_n"; done
