@@ -36,7 +36,8 @@ def _bind_on_first_use(namespace: dict, homes: dict[str, str]):
 _EXPORTS = {
     "closedform": "case_mod4 closed_form root_basis",
     "counting": "ClassLabel brute_force_words classify composition_sum direct_sum trinomial",
-    "engines": "bench_engine compute_value decimal_digits",
+    "digits": "decimal_digits",
+    "engines": "bench_engine compute_value",
     "genfun": "gf_coefficients gf_for_class",
     "recurrence": "TRANSITION_MATRIX coupled_sequence decoupled_d decoupled_third_order identity_suite quartic_c",
 }

@@ -90,6 +90,12 @@ class ClassVector(namedtuple("ClassVector", "n a b c d")):
         return (self.a, self.b, self.c, self.d)
 
 
+def require_nonnegative(n: int, name: str = "n") -> None:
+    """Raise ValueError unless the index n, named name in the message, is nonnegative."""
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n}")
+
+
 def trinomial(N: int, n1: int, n2: int, n3: int) -> int:
     """The trinomial coefficient N! / (n1! n2! n3!), exactly.
 
@@ -133,8 +139,7 @@ def direct_sum(label: ClassLabel, n: int) -> int:
     by 6 for the permutations of which letter gets which offset.  Empty
     k-ranges give 0, so C_B(0) = C_C(0) = C_D(0) = 0 and C_C(1) = 0.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n)
     shift, offsets, multiplier = _DIRECT_SUM_RULES[label]
     N = 3 * n
     o1, o2, o3 = offsets
@@ -163,8 +168,7 @@ def brute_force_words(n: int) -> ClassVector:
     per A, B or C word: a third of the words.  bytes.count tallies A, B
     and C, and each deleted byte is a D word.  Both run in C.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n)
     if n > BRUTE_FORCE_MAX_N:
         raise TooLarge(f"n = {n} means 3^{3 * n} words; refusing beyond n = {BRUTE_FORCE_MAX_N}")
     length = 3 * n
@@ -223,8 +227,7 @@ def composition_sum(n: int) -> ClassVector:
     so the rows cycle through classes A, C, B; the sweep keeps the three
     sums and four tallies in locals and picks the row's class by m mod 3.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n)
     N = 3 * n
     a = b = c = d = 0
     row = 1  # C(N, n1), from n1 = N

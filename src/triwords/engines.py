@@ -40,8 +40,8 @@ __getattr__ = _bind_on_first_use(
     {
         "closedform": "case_mod4_vector closed_form_vector root_basis_vector",
         "genfun": "gf_at gf_for_class gf_stream",
-        "recurrence": "char_poly_check coupled_at coupled_stream decoupled_at decoupled_stream identity_suite "
-        "quartic_c quartic_c_stream",
+        "recurrence": "CHAR_POLY_RELATION char_poly_check coupled_at coupled_stream decoupled_at decoupled_stream "
+        "identity_suite quartic_c quartic_c_stream",
     },
 )
 
@@ -243,13 +243,7 @@ def run_validation(max_n: int) -> list[CheckResult]:
         power *= 27
     results.append(sum_result)
 
-    results.append(
-        CheckResult(
-            "char-poly-factorization",
-            _here.char_poly_check(),
-            "x^4 - 26x^3 - 702x - 729 = (x+1)(x^3 - 27(x^2 - x + 27))",
-        )
-    )
+    results.append(CheckResult("char-poly-factorization", _here.char_poly_check(), _here.CHAR_POLY_RELATION))
 
     report = _here.identity_suite(max_n, sequence=reference, strict=False)
     for r in report.results:

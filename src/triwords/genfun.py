@@ -22,7 +22,7 @@ from collections import deque, namedtuple
 from itertools import count, islice
 from typing import Callable, Iterator, TypeVar
 
-from .counting import ClassLabel, InternalError
+from .counting import ClassLabel, InternalError, require_nonnegative
 
 #: Polynomial with integer coefficients, ascending, index = degree.
 IntPolynomial = tuple[int, ...]
@@ -121,8 +121,7 @@ def gf_stream(gf: RationalGF, num: Callable[[int], T] = int) -> Iterator[T]:
 
 def gf_coefficients(gf: RationalGF, N: int) -> list[int]:
     """Taylor coefficients c_0..c_N of a rational generating function (see gf_stream)."""
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
+    require_nonnegative(N, "N")
     return list(islice(gf_stream(gf), N + 1))
 
 
@@ -145,8 +144,7 @@ def gf_at(gf: RationalGF, n: int, num: Callable[[int], T] = int) -> T:
     each product of the right parity, up to degree n//2.  The coefficients
     of P and Q are taken as num, so c_n is of that type too.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n)
     _unit_constant_term(gf)
     p, q = tuple(map(num, gf.numerator)), tuple(map(num, gf.denominator))
     while n:

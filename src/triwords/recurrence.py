@@ -52,7 +52,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .counting import ClassLabel, ClassVector, InternalError
+from .counting import ClassLabel, ClassVector, InternalError, require_nonnegative
 from .digits import brief
 
 T = TypeVar("T")
@@ -173,8 +173,7 @@ def coupled_at(n: int, num: Callable[[int], T] = int) -> ClassVector:
     The powers are kept in six-entry form (see six_entries), so the
     vector is column A of the power, (a, c, b, f).
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n)
     step = tuple(map(num, six_entries(TRANSITION_MATRIX)))
     zero, one = num(0), num(1)
     power = (one, zero, zero, zero, zero, one)
@@ -218,8 +217,7 @@ def recurrence_at(
     residue is kept (see _residue), so a recurrence that shares the
     polynomial reuses it at the same n.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n)
     if n == 0:
         return num(seeds[0])
     # Keyed on the active decimal context whatever num is, as num may
@@ -254,8 +252,7 @@ def decoupled_at(label: ClassLabel, n: int, num: Callable[[int], T] = int) -> T:
 
 def coupled_sequence(N: int) -> list[ClassVector]:
     """Class vectors for n = 0..N, iterated from the seed (1, 0, 0, 0)."""
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
+    require_nonnegative(N, "N")
     return list(islice(coupled_stream(), N + 1))
 
 
@@ -276,15 +273,29 @@ def quartic_c(n: int, num: Callable[[int], T] = int) -> T:
     return recurrence_at(*QUARTIC_C, n, num)
 
 
+# C's quartic is (x + 1) times the cubic that A, B and C share, stated once
+# as the relation validate prints; char_poly_check reads both sides off it.
+CHAR_POLY_RELATION = "x^4 - 26x^3 - 702x - 729 = (x+1)(x^3 - 27(x^2 - x + 27))"
+
+
 def char_poly_check() -> bool:
-    """Verify x^4 - 26x^3 - 702x - 729 = (x + 1)(x^3 - 27(x^2 - x + 27)).
+    """Verify CHAR_POLY_RELATION against the steps that C's streams and point routes run.
 
-    Reads both off the steps that C's streams and point routes run, and
-    compares the expanded right-hand side with the left coefficient by coefficient.
+    Each side is read as a polynomial in x, with ^ for powers and products
+    written side by side.  At five points, where two quartics that agree
+    are equal, the left side must be the quartic read off QUARTIC_C, and
+    the right side (x + 1) times the cubic read off C's step.
     """
-    from .genfun import poly_mul  # here, so that the recurrence engines never load genfun
+    quartic, cubic = char_poly(*QUARTIC_C), char_poly(*DECOUPLED[ClassLabel.C])
+    left, right = (
+        eval(f"lambda x: {re.sub(r'(?<=[0-9)])(?=[x(])', '*', side).replace('^', '**')}", {})
+        for side in CHAR_POLY_RELATION.split(" = ")
+    )
 
-    return poly_mul((1, 1), char_poly(*DECOUPLED[ClassLabel.C])) == char_poly(*QUARTIC_C)
+    def at(poly: Sequence[int], x: int) -> int:
+        return sum(c * x**k for k, c in enumerate(poly))
+
+    return all(left(x) == at(quartic, x) == (x + 1) * at(cubic, x) == right(x) for x in range(5))
 
 
 # Elimination identities tying the four sequences together, each stated

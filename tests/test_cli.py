@@ -729,6 +729,14 @@ def test_exports_are_their_home_modules_objects():
         engines.no_such_function
 
 
+def test_decimal_digits_export_loads_only_digits():
+    script = "import json, sys, triwords\ntriwords.decimal_digits\nprint(json.dumps(sorted(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [name for name in json.loads(proc.stdout) if name.startswith("triwords")] == ["triwords", "triwords.digits"]
+
+
 def test_bench_hashes_without_openssl():
     # bench hashes with CPython's own BLAKE2, `_blake2`, which hashlib only
     # re-exports, so its digest is hashlib's and OpenSSL is never loaded.

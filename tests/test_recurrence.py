@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triwords import recurrence
+from triwords import engines, recurrence
 from triwords.counting import ClassLabel, ClassVector, composition_sum
 from triwords.digits import EXACT
 from triwords.recurrence import (
@@ -287,6 +287,17 @@ class TestCharPoly:
 
     def test_cubic_root_27(self):
         assert 27**3 - 27 * (27**2 - 27 + 27) == 0
+
+    @pytest.mark.parametrize("old, new", [("702x", "703x"), ("26x^3", "27x^3"), ("x^2 - x", "x^2 + x")])
+    def test_mutated_relation_fails(self, monkeypatch, old, new):
+        # the check and validate's char-poly line both read the one relation text
+        mutant = recurrence.CHAR_POLY_RELATION.replace(old, new, 1)
+        assert mutant != recurrence.CHAR_POLY_RELATION
+        monkeypatch.setattr(recurrence, "CHAR_POLY_RELATION", mutant)
+        monkeypatch.setattr(engines, "CHAR_POLY_RELATION", mutant)
+        assert char_poly_check() is False
+        (line,) = (r for r in engines.run_validation(4) if r.name == "char-poly-factorization")
+        assert line == (line.name, False, mutant)
 
 
 class TestCharPolyFromStep:

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# The CI steps, one function each: `bash tools/ci.sh <step> [args]` runs one
-# step, as the workflow does, and `bash tools/ci.sh all` runs every check in
-# the workflow's order.  The script sets each step's int-to-str cap, and
+# The CI checks, one function each, and STEPS, the one list of them in CI
+# order: the workflow runs `bash tools/ci.sh install`, then `bash tools/ci.sh
+# all`, which runs every step of STEPS.  `bash tools/ci.sh <step> [args]`
+# runs one step.  The script sets each step's int-to-str cap, and
 # point_1000000 its time limit, whatever the caller's environment.  Run it
 # from the repository root, with the package importable (the workflow sets
 # PYTHONPATH=src; so does this script when PYTHONPATH is unset).
@@ -18,6 +19,22 @@ else
   trap 'rm -rf "$tmp"' EXIT
 fi
 
+STEPS=(
+  tests
+  tests_capped
+  "validate 40"
+  "validate 300"   # compsum's definition-level check reaches its cap of 300
+  "validate 1000"  # the closed forms against the coupled reference to n = 1000
+  "validate 3000"  # every engine, the closed forms included (about 2 s)
+  bfile_head
+  tables
+  point_100000
+  point_1000000
+  enumerators
+  bench
+)
+
+# The test extra in pyproject.toml lists the test dependencies.
 install() {
   python -m pip install -e ".[test]"
 }
@@ -30,6 +47,8 @@ tests_capped() {
   python -m pytest -q --continue-on-collection-errors
 }
 
+# validate computes on ints and prints no value past 40 digits, so a check
+# that called str() on a big value would fail under the cap.
 validate() {
   python -m triwords validate --max-n "$1"
 }
@@ -41,6 +60,11 @@ bfile_head() {
   env -u PYTHONINTMAXSTRDIGITS python -m triwords bfile A391470 --max-n 3000 2>"$tmp/err.txt" | head -1 && test ! -s "$tmp/err.txt"
 }
 
+# table computes its rows in exact decimal arithmetic, which validate (ints
+# only) never runs; three engines must print the same bytes.  The values at
+# n = 3000 have over 4,000 digits, so the CLI must print them without str()
+# of an int.  json names the engine, so that line is left out of the
+# comparison; csv and the aligned table have no such line.
 tables() {
   for format in csv json table; do
     for engine in coupled decoupled genfun; do
@@ -52,6 +76,10 @@ tables() {
   done
 }
 
+# coupled, decoupled, genfun and quartic-c each reach a single value by their
+# own point route, in O(log n) big products, not by walking their stream; at
+# n = 100000 each must print mod4's bytes.  decoupled runs one table of
+# (seeds, step) recurrences, so B and D join A.
 point_100000() {
   for pair in A:coupled A:decoupled B:decoupled D:decoupled A:genfun C:quartic-c; do
     cls="${pair%%:*}" engine="${pair#*:}"
@@ -61,7 +89,8 @@ point_100000() {
   done
 }
 
-# A route that converted a computed int, not Decimal seeds, would take
+# A single value is computed in exact Decimal from Decimal seeds and
+# constants.  A route that converted a computed int instead would take
 # minutes at n = 10^6 on 3.10 and 3.11, where Decimal(int) is quadratic, so
 # the step fails past its time limit.
 point_1000000() {
@@ -76,6 +105,10 @@ _point_1000000() {
   done
 }
 
+# brute and compsum enumerate on ints, and the registry converts their values
+# to Decimal, so they print through str() of a Decimal like every other
+# engine.  compsum's A at n = 1000 has 1,431 digits, past the cap; the tables
+# name no engine, so coupled's bytes must match.
 enumerators() {
   python -m triwords compute --class A --n 1000 --engine mod4 > "$tmp/enum-mod4"
   python -m triwords compute --class A --n 1000 --engine compsum > "$tmp/enum-compsum"
@@ -90,6 +123,13 @@ enumerators() {
   done
 }
 
+# Each value column at n = 4000 is a digest, and the seven engines that cover
+# every class must print the same one; closed and rootbasis, which
+# point_100000 never runs, are checked here.  bench is the one command that
+# hashes.  It takes BLAKE2 from CPython's own _blake2 module, which
+# hashlib only re-exports, so no command loads hashlib's _hashlib and
+# OpenSSL: this runs that path as a real process, under -X importtime (-S
+# leaves site's imports out), and fails if hashlib or _hashlib appears.
 bench() {
   python -S -X importtime -m triwords bench --max-n 4000 --engines compsum,coupled,decoupled,closed,rootbasis,mod4,genfun \
     2> "$tmp/bench-imports" | tee "$tmp/bench"
@@ -98,15 +138,19 @@ bench() {
   if grep -E '\| +_?hashlib$' "$tmp/bench-imports"; then exit 1; fi
 }
 
-# Each step in its own process, so a step's shell options stay its own.
+# Each step in its own process, so a step's shell options stay its own; its
+# name comes first, so a failing log names its check.  $step is unquoted: a
+# step is its function's name and arguments.
 all() {
-  for step in tests tests_capped; do bash "$0" "$step"; done
-  for max_n in 40 300 1000 3000; do bash "$0" validate "$max_n"; done
-  for step in bfile_head tables point_100000 point_1000000 enumerators bench; do bash "$0" "$step"; done
+  for step in "${STEPS[@]}"; do
+    echo "== ci.sh $step"
+    bash "$0" $step
+  done
 }
 
 if ! declare -F "$1" > /dev/null; then
-  echo "usage: bash tools/ci.sh install|tests|tests_capped|validate MAX_N|bfile_head|tables|point_100000|point_1000000|enumerators|bench|all" >&2
+  echo "usage: bash tools/ci.sh install | all | STEP [ARGS]; all runs these steps, in order:" >&2
+  printf '  %s\n' "${STEPS[@]}" >&2
   exit 2
 fi
 "$@"
