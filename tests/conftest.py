@@ -2,6 +2,13 @@ import contextlib
 import sys
 
 import pytest
+from hypothesis import Phase, settings
+
+# No explain phase: on a failing example it runs the test on variations of
+# that example to annotate the report, and once ran a failing test past
+# 100 s and about 680 MB.  Settings a test gives itself still apply.
+settings.register_profile("no-explain", phases=tuple(phase for phase in Phase if phase is not Phase.explain))
+settings.load_profile("no-explain")
 
 
 @contextlib.contextmanager
@@ -31,3 +38,16 @@ def default_int_str_cap():
         pytest.skip("no int-to-str cap before 3.11")
     with _int_str_cap(4300):
         yield
+
+
+@pytest.fixture
+def relation_texts(monkeypatch):
+    """A setter of recurrence.IDENTITY_RELATIONS for the test; IDENTITIES, built on first read, is cleared first.
+
+    Clearing reads the shipped texts once, so that the original IDENTITIES
+    is restored after the test, and the next read builds from the texts set.
+    """
+    from triwords import recurrence
+
+    monkeypatch.delattr(recurrence, "IDENTITIES", raising=False)
+    return lambda relations: monkeypatch.setattr(recurrence, "IDENTITY_RELATIONS", tuple(relations))

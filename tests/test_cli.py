@@ -521,6 +521,15 @@ class TestValidate:
             "d-prev-from-ab": "40",
         }
 
+    def test_unreadable_identity_text_is_internal_error(self, capsys, relation_texts):
+        # a typo in a relation text ends in exit 3, naming the text and the piece, not in a traceback
+        relations = dict(recurrence.IDENTITY_RELATIONS)
+        bad = relations["cd-window-b"] = relations["cd-window-b"].replace("C(n+1)", "E(n+1)")
+        relation_texts(relations.items())
+        code, out, err = run_cli(capsys, "validate", "--max-n", "40")
+        assert (code, out) == (3, "")
+        assert err == f"internal error: cannot read 'E(n+1)' in the relation {bad!r}\n"
+
     def test_failure_exit_status(self, capsys, monkeypatch):
         from triwords.engines import CheckResult
 
@@ -688,6 +697,27 @@ def test_each_command_loads_only_its_engine_modules(argv, loaded):
     assert not modules & {"dataclasses", "inspect"}
     package = {name.removeprefix("triwords.") for name in modules if name.startswith("triwords.")}
     assert package == {"cli", "counting", "digits", "engines"} | loaded
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        pytest.param(["compute", "--class", "A", "--n", "1"], False, id="compute"),
+        pytest.param(["table", "--format", "csv", "--max-n", "5"], False, id="table-csv"),
+        pytest.param(["validate", "--max-n", "4"], True, id="validate"),
+    ],
+)
+def test_only_validate_reads_the_identity_texts(argv, read):
+    # IDENTITIES is built on first read, and the parser that reads its texts loads then
+    script = (
+        "import contextlib, io, json, sys\nfrom triwords.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
+        "print(json.dumps(['ast' in sys.modules, 'IDENTITIES' in vars(sys.modules['triwords.recurrence'])]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [read, read]
 
 
 def test_exports_are_their_home_modules_objects():

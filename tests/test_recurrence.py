@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from decimal import Context, Decimal, Inexact, localcontext
 from itertools import islice
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triwords import engines, recurrence
-from triwords.counting import ClassLabel, ClassVector, composition_sum
+from triwords.counting import ClassLabel, ClassVector, InternalError, composition_sum
 from triwords.digits import EXACT
 from triwords.recurrence import (
     DECOUPLED,
@@ -298,6 +299,53 @@ class TestCharPoly:
         assert char_poly_check() is False
         (line,) = (r for r in engines.run_validation(4) if r.name == "char-poly-factorization")
         assert line == (line.name, False, mutant)
+
+
+def _literal_mutants():
+    """Each relation text with one integer literal k changed to k + 1, the check that must fail, and its place."""
+    texts = [("char-poly-factorization", None, recurrence.CHAR_POLY_RELATION)]
+    texts += [(f"identity/{name}", i, text) for i, (name, text) in enumerate(recurrence.IDENTITY_RELATIONS)]
+    for check, index, text in texts:
+        for m in re.finditer(r"\d+", text):
+            mutant = f"{text[:m.start()]}{int(m[0]) + 1}{text[m.end():]}"
+            yield pytest.param(check, index, mutant, id=f"{check}:{m.start()}")
+
+
+@pytest.mark.parametrize("check, index, mutant", _literal_mutants())
+def test_each_literal_mutant_fails_its_own_check(monkeypatch, relation_texts, check, index, mutant):
+    if index is None:
+        monkeypatch.setattr(recurrence, "CHAR_POLY_RELATION", mutant)
+        monkeypatch.setattr(engines, "CHAR_POLY_RELATION", mutant)
+    else:
+        relations = list(recurrence.IDENTITY_RELATIONS)
+        relations[index] = (relations[index][0], mutant)
+        relation_texts(relations)
+    results = engines.run_validation(40)
+    assert [r.name for r in results if not r.passed] == [check]
+    assert mutant in next(r.detail for r in results if r.name == check)
+
+
+@pytest.mark.parametrize(
+    "text, piece",
+    [
+        ("E(n+1) = A(n)", "E(n+1)"),
+        ("2.5*A(n) = B(n)", "2.5"),
+        ("A(m) = B(n)", "A(m)"),
+        ("A(n)*B(n) = C(n)", "A(n)*B(n)"),
+        ('__import__("os") = A(n)', '__import__("os")'),
+    ],
+)
+def test_unreadable_identity_names_text_and_piece(relation_texts, text, piece):
+    relation_texts([("bad", text)])
+    with pytest.raises(InternalError) as err:
+        identity_suite(10)
+    assert repr(text) in str(err.value) and repr(piece) in str(err.value)
+
+
+def test_unreadable_char_poly_relation_is_internal_error(monkeypatch):
+    monkeypatch.setattr(recurrence, "CHAR_POLY_RELATION", "x^4 = A(n)")
+    with pytest.raises(InternalError, match=re.escape("cannot read 'A(n)' in the relation 'x^4 = A(n)'")):
+        char_poly_check()
 
 
 class TestCharPolyFromStep:
