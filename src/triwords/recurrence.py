@@ -36,28 +36,25 @@ alike take the number type of their seeds, `num`: int by default, or
 products use a number-theoretic transform (the caller then reads it in
 `digits.EXACT`).  Every route starts from num seeds and num constants,
 and mixes its values only with small ints, so no computed int is ever
-converted.  The module also checks every intermediate elimination identity
-numerically, in exact integer arithmetic.  Each is stated once, as the
-relation validate prints, and so is C's factorisation (CHAR_POLY_RELATION).
-One reader, _read, takes these texts as data and never runs them (no eval):
-it parses a text and walks a closed grammar into polynomials.  An identity's
-residual, right side minus left side, is the sum over its linear form, and
-its window of valid indices spans the form's offsets.  IDENTITIES is built
-on first use, so only the commands that check the identities load the parser.
+converted.  The relations that validate prints are stated here once, as
+plain text: C's factorisation (CHAR_POLY_RELATION) and every intermediate
+elimination identity (IDENTITY_RELATIONS).  `relations` reads and checks
+them; its names are re-exported here on first read (PEP 562), and so is
+IDENTITIES, which it builds off the texts and this module then keeps.  So
+only the commands that check a relation compile the reader.
 """
 
 from __future__ import annotations
 
 import decimal
 import operator
-import re
-from collections import deque, namedtuple
-from functools import lru_cache, reduce
+from collections import deque
+from functools import lru_cache
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
+from . import _bind_on_first_use
 from .counting import ClassLabel, ClassVector, InternalError, require_nonnegative
-from .digits import brief
 
 T = TypeVar("T")
 
@@ -96,16 +93,6 @@ QUARTIC_C: Recurrence = ((0, 0, 90, 2268, 58806), lambda w: 26 * w[-1] + 702 * w
 
 class NotRelabellingInvariant(InternalError):
     """The transition matrix does not commute with the relabelling A -> B -> C -> A."""
-
-
-class IdentityViolation(Exception):
-    """An elimination identity failed numerically at some index."""
-
-    def __init__(self, name: str, n: int, residual: int):
-        self.name = name
-        self.n = n
-        self.residual = residual
-        super().__init__(f"identity {name!r} fails at n = {n} (residual {brief(residual)})")
 
 
 def coupled_step(v: ClassVector) -> ClassVector:
@@ -277,92 +264,13 @@ def quartic_c(n: int, num: Callable[[int], T] = int) -> T:
     return recurrence_at(*QUARTIC_C, n, num)
 
 
-# Relation texts are read as data, never run.  _read parses a text with the
-# stdlib parser and walks a closed grammar: integer constants, +, -, *,
-# unary minus, ^ by an integer constant, products written side by side, and
-# the variable x or the terms X(n+k), X in A-D.  Each side becomes a sparse
-# polynomial {monomial: coefficient}; a monomial is the sorted tuple of its
-# variables, one per degree: "x", or (X, k) for X(n+k).
-Poly = dict[tuple, int]
-
-
-def _collect(terms: Iterable[tuple[tuple, int]]) -> Poly:
-    """The (monomial, coefficient) terms summed: like monomials merged, zeros dropped."""
-    poly: Poly = {}
-    for monomial, c in terms:
-        poly[monomial] = poly.get(monomial, 0) + c
-    return {monomial: c for monomial, c in poly.items() if c}
-
-
-def _read(relation: str, in_x: bool) -> tuple[Poly, Poly]:
-    """Both sides of the relation "left = right", in x if in_x, else in the terms X(n+k)."""
-    import ast  # only the commands that check a relation load the parser
-
-    # The one rewrite: ^ for powers, products side by side, = between the sides.
-    source = re.sub(r"(?<=[0-9)])(?=[A-Za-z(])", "*", relation).replace("^", "**").replace("=", "==")
-    sign = {ast.Add: 1, ast.Sub: -1}
-
-    def product(p: list, q: list) -> list:
-        return [(tuple(sorted(m1 + m2)), c1 * c2) for m1, c1 in p for m2, c2 in q]
-
-    def terms(node: ast.expr) -> list[tuple[tuple, int]]:
-        match node:  # type(k) is int: to a pattern, True and False are ints too
-            case ast.Constant(int(k)) if type(k) is int:
-                return [((), k)]
-            case ast.Name("x") if in_x:
-                return [(("x",), 1)]
-            case ast.Call(ast.Name("A" | "B" | "C" | "D" as X), [ast.Name("n")], []) if not in_x:
-                return [(((X, 0),), 1)]
-            case ast.Call(
-                ast.Name("A" | "B" | "C" | "D" as X), [ast.BinOp(ast.Name("n"), op, ast.Constant(int(k)))], []
-            ) if not in_x and type(op) in sign and type(k) is int:
-                return [(((X, sign[type(op)] * k),), 1)]
-            case ast.UnaryOp(ast.USub(), operand):
-                return [(m, -c) for m, c in terms(operand)]
-            case ast.BinOp(left, op, right) if type(op) in sign:
-                return terms(left) + [(m, sign[type(op)] * c) for m, c in terms(right)]
-            case ast.BinOp(left, ast.Mult(), right):
-                return product(terms(left), terms(right))
-            case ast.BinOp(base, ast.Pow(), ast.Constant(int(k))) if type(k) is int:
-                return reduce(product, [terms(base)] * k, [((), 1)])
-        raise InternalError(f"cannot read {ast.get_source_segment(source, node)!r} in the relation {relation!r}")
-
-    try:
-        tree = ast.parse(source, mode="eval").body
-    except SyntaxError as exc:
-        raise InternalError(f"cannot read the relation {relation!r}: {exc.msg}") from None
-    if not (isinstance(tree, ast.Compare) and [type(op) for op in tree.ops] == [ast.Eq]):
-        raise InternalError(f"the relation {relation!r} is not one equation left = right")
-    return _collect(terms(tree.left)), _collect(terms(tree.comparators[0]))
-
-
 # C's quartic is (x + 1) times the cubic that A, B and C share, stated once
-# as the relation validate prints; char_poly_check reads both sides off it.
+# as the relation validate prints; relations.char_poly_check reads both sides off it.
 CHAR_POLY_RELATION = "x^4 - 26x^3 - 702x - 729 = (x+1)(x^3 - 27(x^2 - x + 27))"
 
 
-def char_poly_check() -> bool:
-    """Verify CHAR_POLY_RELATION against the steps that C's streams and point routes run.
-
-    Each side is read as a polynomial in x (see _read).  At five points,
-    where two quartics that agree are equal, the left side must be the
-    quartic read off QUARTIC_C, and the right side (x + 1) times the cubic
-    read off C's step.
-    """
-    quartic, cubic = char_poly(*QUARTIC_C), char_poly(*DECOUPLED[ClassLabel.C])
-    left, right = _read(CHAR_POLY_RELATION, in_x=True)
-
-    def at(poly: Sequence[int], x: int) -> int:
-        return sum(c * x**k for k, c in enumerate(poly))
-
-    def value(side: Poly, x: int) -> int:
-        return sum(c * x ** len(monomial) for monomial, c in side.items())  # a monomial in x alone is x^degree
-
-    return all(value(left, x) == at(quartic, x) == (x + 1) * at(cubic, x) == value(right, x) for x in range(5))
-
-
 # Elimination identities tying the four sequences together, each stated
-# once as (name, relation), the text validate prints.  _identity reads the
+# once as (name, relation), the text validate prints.  relations reads the
 # rest off that text: the residual, right side minus left side, 0 wherever
 # the identity holds, and the window of valid indices, those where every
 # referenced term exists: first_valid <= n <= N - lookahead.
@@ -377,96 +285,18 @@ IDENTITY_RELATIONS: tuple[tuple[str, str], ...] = (
     ("cd-window-a", "3*C(n+1) + 81*C(n-1) - D(n+1) + 12*D(n) + 27*D(n-1) = 0"),
     ("cd-window-b", "C(n+1) + 27*C(n-1) - 5*D(n) + 9*D(n-1) = 0"),
 )
-Identity = tuple[str, str, int, int, Callable[[Sequence[ClassVector], int], int]]
 
-
-def _identity(name: str, relation: str) -> Identity:
-    """(name, relation, first_valid, lookahead, residual) for the relation "left = right".
-
-    Its linear form, right side minus left, is a constant and terms c*X(n+k):
-    the residual sums them, reading each X(n+k) as field x of s[n+k], and
-    the window spans the offsets k.
-    """
-    left, right = _read(relation, in_x=False)
-    form = _collect([*right.items(), *((monomial, -c) for monomial, c in left.items())])
-    constant = form.pop((), 0)
-    for monomial in form:
-        if len(monomial) > 1:
-            product = "*".join(f"{X}(n{k:+d})" if k else f"{X}(n)" for X, k in monomial)
-            raise InternalError(f"cannot read {product!r} in the identity {relation!r}: a product of terms")
-    if not form:
-        raise InternalError(f"the identity {relation!r} has no term X(n+k)")
-    terms = [(c, k, ClassVector._fields.index(X.lower())) for ((X, k),), c in form.items()]
-    offsets = [k for _, k, _ in terms]
-
-    def residual(s: Sequence[ClassVector], n: int) -> int:
-        total = constant
-        for c, k, field in terms:
-            total += c * s[n + k][field]
-        return total
-
-    return name, relation, max(0, -min(offsets)), max(0, max(offsets)), residual
+# What only validate runs, the reader of these texts and the checks built on
+# it, is in relations, and its names are re-exported here on first read.
+_relations = _bind_on_first_use(globals(), {"relations": "IdentityReport IdentityResult IdentityViolation _collect "
+                                            "_identity _read char_poly_check identity_suite"})
 
 
 def __getattr__(name: str) -> Any:
-    """IDENTITIES, read off IDENTITY_RELATIONS on first read (PEP 562) and then kept as a module global.
-
-    So only the commands that check the identities load the parser.
-    """
+    """A name from relations, or IDENTITIES, which relations builds on first read and this module then keeps."""
     if name != "IDENTITIES":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    identities = globals()[name] = tuple(_identity(*identity) for identity in IDENTITY_RELATIONS)
-    return identities
+        return _relations(name)
+    from .relations import identities
 
-
-class IdentityResult(namedtuple("IdentityResult", "name relation checked first_failure")):
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.first_failure is None
-
-
-class IdentityReport(namedtuple("IdentityReport", "results")):
-    __slots__ = ()
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def __str__(self) -> str:
-        lines = []
-        for r in self.results:
-            status = "PASS" if r.passed else f"FAIL at n={r.first_failure}"
-            lines.append(f"{r.name:<18} {status}  ({r.checked} indices)  {r.relation}")
-        return "\n".join(lines)
-
-
-def identity_suite(N: int, sequence: Sequence[ClassVector] | None = None, strict: bool = True) -> IdentityReport:
-    """Check every elimination identity on the sequence up to index N.
-
-    With the default strict=True the first failing identity raises
-    IdentityViolation (naming identity and index); with strict=False the
-    full report is returned with failures recorded, which is what the
-    validate command prints.  A sequence can be injected to test that
-    corrupted data is caught.
-    """
-    if N < 4:
-        raise ValueError(f"identity suite needs N >= 4, got {N}")
-    seq = coupled_sequence(N) if sequence is None else sequence
-    from .recurrence import IDENTITIES  # read through the module, whose __getattr__ builds it on first use
-
-    results = []
-    for name, relation, first_valid, lookahead, residual in IDENTITIES:
-        first_failure = None
-        checked = 0
-        for n in range(first_valid, N - lookahead + 1):
-            checked += 1
-            r = residual(seq, n)
-            if r:
-                if strict:
-                    raise IdentityViolation(name, n, r)
-                first_failure = n
-                break
-        results.append(IdentityResult(name, relation, checked, first_failure))
-    return IdentityReport(tuple(results))
+    value = globals()[name] = identities()
+    return value

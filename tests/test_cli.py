@@ -678,7 +678,7 @@ ENGINE_MODULES = {"closedform", "genfun", "recurrence", "ring"}
         ),
         pytest.param(["table", "--format", "csv", "--max-n", "5"], {"recurrence"}, id="table-csv"),
         pytest.param(["bfile", "A391468", "--max-n", "5"], {"recurrence"}, id="bfile"),
-        pytest.param(["validate", "--max-n", "4"], ENGINE_MODULES, id="validate"),
+        pytest.param(["validate", "--max-n", "4"], ENGINE_MODULES | {"relations"}, id="validate"),
         pytest.param(["bench", "--max-n", "4", "--engines", ",".join(ENGINE_IDS)], ENGINE_MODULES, id="bench"),
     ],
 )
@@ -718,6 +718,39 @@ def test_only_validate_reads_the_identity_texts(argv, read):
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [read, read]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            pytest.param(["compute", "--class", "C", "--n", "5", "--engine", engine], id=f"compute-{engine}")
+            for engine in ("coupled", "decoupled", "quartic-c")
+        ),
+        pytest.param(["table", "--format", "csv", "--max-n", "5"], id="table-csv"),
+        pytest.param(["bfile", "A391468", "--max-n", "5"], id="bfile"),
+        pytest.param(["bench", "--max-n", "4", "--engines", ",".join(ENGINE_IDS)], id="bench"),
+        pytest.param(None, id="import-recurrence"),
+    ],
+)
+def test_only_validate_loads_the_relation_reader(argv):
+    # relations, and the parser it reads the texts with, load for validate
+    # alone (see test_each_command_loads_only_its_engine_modules)
+    if argv is None:
+        run = "import triwords.recurrence\n"
+    else:
+        run = (
+            "from triwords.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
+        )
+    script = (
+        f"import contextlib, io, json, sys\n{run}"
+        "print(json.dumps(['triwords.relations' in sys.modules, 'ast' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False]
 
 
 def test_exports_are_their_home_modules_objects():

@@ -295,10 +295,20 @@ class TestCharPoly:
         mutant = recurrence.CHAR_POLY_RELATION.replace(old, new, 1)
         assert mutant != recurrence.CHAR_POLY_RELATION
         monkeypatch.setattr(recurrence, "CHAR_POLY_RELATION", mutant)
-        monkeypatch.setattr(engines, "CHAR_POLY_RELATION", mutant)
         assert char_poly_check() is False
         (line,) = (r for r in engines.run_validation(4) if r.name == "char-poly-factorization")
         assert line == (line.name, False, mutant)
+
+
+def test_validate_prints_the_char_poly_text_it_checked(monkeypatch):
+    # a first run reads the shipped text; then only recurrence's text is
+    # rebound, and the line must print the mutant the check read, not a copy
+    engines.run_validation(4)
+    mutant = recurrence.CHAR_POLY_RELATION.replace("26x^3", "25x^3", 1)
+    assert mutant != recurrence.CHAR_POLY_RELATION
+    monkeypatch.setattr(recurrence, "CHAR_POLY_RELATION", mutant)
+    (line,) = (r for r in engines.run_validation(4) if r.name == "char-poly-factorization")
+    assert line == (line.name, False, mutant)
 
 
 def _literal_mutants():
@@ -315,7 +325,6 @@ def _literal_mutants():
 def test_each_literal_mutant_fails_its_own_check(monkeypatch, relation_texts, check, index, mutant):
     if index is None:
         monkeypatch.setattr(recurrence, "CHAR_POLY_RELATION", mutant)
-        monkeypatch.setattr(engines, "CHAR_POLY_RELATION", mutant)
     else:
         relations = list(recurrence.IDENTITY_RELATIONS)
         relations[index] = (relations[index][0], mutant)
@@ -346,6 +355,18 @@ def test_unreadable_char_poly_relation_is_internal_error(monkeypatch):
     monkeypatch.setattr(recurrence, "CHAR_POLY_RELATION", "x^4 = A(n)")
     with pytest.raises(InternalError, match=re.escape("cannot read 'A(n)' in the relation 'x^4 = A(n)'")):
         char_poly_check()
+
+
+def test_recurrence_reexports_the_relation_checks():
+    # the checks live in relations; recurrence hands out the same objects
+    from triwords import relations
+
+    for name in "IdentityReport IdentityResult IdentityViolation _collect _identity _read char_poly_check".split():
+        assert getattr(recurrence, name) is getattr(relations, name)
+    from triwords.recurrence import identity_suite as reexported
+
+    assert reexported is identity_suite is relations.identity_suite
+    assert recurrence.IDENTITIES is vars(recurrence)["IDENTITIES"]
 
 
 class TestCharPolyFromStep:

@@ -1,4 +1,7 @@
-"""Checks on the source text: the oldest supported Python parses it, and the package runs no code from text."""
+"""Checks on the source text: the oldest supported Python parses it, and the package runs no code from text.
+
+Only the module that reads the relation texts, relations, holds the parser.
+"""
 
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ def test_parses_as_python_3_10(path):
 
 
 def test_package_calls_no_eval_exec_or_compile():
-    # Relation texts are read as data (recurrence._read), never run.
+    # Relation texts are read as data (relations._read), never run.
     calls = [
         f"{path.relative_to(ROOT)}:{node.lineno} {node.func.id}"
         for path in sorted((ROOT / "src" / "triwords").rglob("*.py"))
@@ -30,3 +33,16 @@ def test_package_calls_no_eval_exec_or_compile():
         and node.func.id in {"eval", "exec", "compile"}
     ]
     assert calls == []
+
+
+def test_only_relations_imports_ast_or_matches():
+    # Compiling a match statement, and loading ast, costs every command
+    # that imports the module; the relation reader is validate's alone.
+    # So its weight stays off the modules the other commands load.
+    holders = set()
+    for path in sorted((ROOT / "src" / "triwords").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            imports = isinstance(node, ast.Import) and any(alias.name == "ast" for alias in node.names)
+            if imports or isinstance(node, ast.Match) or isinstance(node, ast.ImportFrom) and node.module == "ast":
+                holders.add(path.name)
+    assert holders == {"relations.py"}
