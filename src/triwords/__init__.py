@@ -39,7 +39,8 @@ _EXPORTS = {
     "digits": "decimal_digits",
     "engines": "bench_engine compute_value",
     "genfun": "gf_coefficients gf_for_class",
-    "recurrence": "TRANSITION_MATRIX coupled_sequence decoupled_d decoupled_third_order identity_suite quartic_c",
+    "recurrence": "TRANSITION_MATRIX coupled_sequence decoupled_d decoupled_third_order quartic_c",
+    "relations": "identity_suite",
 }
 
 __all__ = sorted(" ".join(_EXPORTS.values()).split())

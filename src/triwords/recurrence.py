@@ -39,9 +39,8 @@ and mixes its values only with small ints, so no computed int is ever
 converted.  The relations that validate prints are stated here once, as
 plain text: C's factorisation (CHAR_POLY_RELATION) and every intermediate
 elimination identity (IDENTITY_RELATIONS).  `relations` reads and checks
-them; its names are re-exported here on first read (PEP 562), and so is
-IDENTITIES, which it builds off the texts and this module then keeps.  So
-only the commands that check a relation compile the reader.
+them, so only the command that checks a relation, validate, compiles the
+reader.
 """
 
 from __future__ import annotations
@@ -51,9 +50,8 @@ import operator
 from collections import deque
 from functools import lru_cache
 from itertools import islice
-from typing import Any, Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
-from . import _bind_on_first_use
 from .counting import ClassLabel, ClassVector, InternalError, require_nonnegative
 
 T = TypeVar("T")
@@ -285,18 +283,3 @@ IDENTITY_RELATIONS: tuple[tuple[str, str], ...] = (
     ("cd-window-a", "3*C(n+1) + 81*C(n-1) - D(n+1) + 12*D(n) + 27*D(n-1) = 0"),
     ("cd-window-b", "C(n+1) + 27*C(n-1) - 5*D(n) + 9*D(n-1) = 0"),
 )
-
-# What only validate runs, the reader of these texts and the checks built on
-# it, is in relations, and its names are re-exported here on first read.
-_relations = _bind_on_first_use(globals(), {"relations": "IdentityReport IdentityResult IdentityViolation _collect "
-                                            "_identity _read char_poly_check identity_suite"})
-
-
-def __getattr__(name: str) -> Any:
-    """A name from relations, or IDENTITIES, which relations builds on first read and this module then keeps."""
-    if name != "IDENTITIES":
-        return _relations(name)
-    from .relations import identities
-
-    value = globals()[name] = identities()
-    return value

@@ -5,15 +5,17 @@ elimination identity (IDENTITY_RELATIONS) once, as text.  One reader, _read,
 takes a text as data and never runs it (no eval): it parses the text and
 walks a closed grammar into polynomials.  An identity's residual, right side
 minus left, is the sum over its linear form; its window of valid indices
-spans the form's offsets.  The texts are read through `recurrence` at call
-time, so a rebound text is the one checked.  Of the commands, only validate
-loads this module.
+spans the form's offsets.  The texts are read through `recurrence` when
+checked, so a rebound text is the one checked; IDENTITIES, built from them
+on first read, is kept here.  Of the commands, only validate loads this
+module.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import sys
 from collections import namedtuple
 from functools import reduce
 from typing import Callable, Iterable, Sequence
@@ -90,8 +92,8 @@ def _read(relation: str, in_x: bool) -> tuple[Poly, Poly]:
     return _collect(terms(tree.left)), _collect(terms(tree.comparators[0]))
 
 
-def char_poly_check(relation: str | None = None) -> bool:
-    """Verify the relation, by default recurrence.CHAR_POLY_RELATION, against the steps that C's routes run.
+def char_poly_check() -> bool:
+    """Verify recurrence.CHAR_POLY_RELATION, read now, against the steps that C's routes run.
 
     Each side is read as a polynomial in x (see _read).  At five points,
     where two quartics that agree are equal, the left side must be the
@@ -100,7 +102,7 @@ def char_poly_check(relation: str | None = None) -> bool:
     """
     quartic = recurrence.char_poly(*recurrence.QUARTIC_C)
     cubic = recurrence.char_poly(*recurrence.DECOUPLED[ClassLabel.C])
-    left, right = _read(recurrence.CHAR_POLY_RELATION if relation is None else relation, in_x=True)
+    left, right = _read(recurrence.CHAR_POLY_RELATION, in_x=True)
 
     def at(poly: Sequence[int], x: int) -> int:
         return sum(c * x**k for k, c in enumerate(poly))
@@ -142,9 +144,16 @@ def _identity(name: str, relation: str) -> Identity:
     return name, relation, max(0, -min(offsets)), max(0, max(offsets)), residual
 
 
-def identities() -> tuple[Identity, ...]:
-    """IDENTITIES, read off recurrence.IDENTITY_RELATIONS as they stand; recurrence keeps it on first read."""
-    return tuple(_identity(*identity) for identity in recurrence.IDENTITY_RELATIONS)
+def __getattr__(name: str) -> tuple[Identity, ...]:
+    """IDENTITIES, read off recurrence.IDENTITY_RELATIONS on first read (PEP 562) and then kept."""
+    if name != "IDENTITIES":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = tuple(_identity(*identity) for identity in recurrence.IDENTITY_RELATIONS)
+    return value
+
+
+# This module, whose IDENTITIES identity_suite reads through it, so that it is built on first use.
+_here = sys.modules[__name__]
 
 
 class IdentityResult(namedtuple("IdentityResult", "name relation checked first_failure")):
@@ -183,7 +192,7 @@ def identity_suite(N: int, sequence: Sequence[ClassVector] | None = None, strict
         raise ValueError(f"identity suite needs N >= 4, got {N}")
     seq = recurrence.coupled_sequence(N) if sequence is None else sequence
     results = []
-    for name, relation, first_valid, lookahead, residual in recurrence.IDENTITIES:
+    for name, relation, first_valid, lookahead, residual in _here.IDENTITIES:
         first_failure = None
         checked = 0
         for n in range(first_valid, N - lookahead + 1):

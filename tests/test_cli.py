@@ -697,6 +697,8 @@ def test_each_command_loads_only_its_engine_modules(argv, loaded):
     assert not modules & {"dataclasses", "inspect"}
     package = {name.removeprefix("triwords.") for name in modules if name.startswith("triwords.")}
     assert package == {"cli", "counting", "digits", "engines"} | loaded
+    # the parser that reads the relation texts loads with relations alone
+    assert ("ast" in modules) == ("relations" in loaded)
 
 
 @pytest.mark.parametrize(
@@ -712,7 +714,8 @@ def test_only_validate_reads_the_identity_texts(argv, read):
     script = (
         "import contextlib, io, json, sys\nfrom triwords.cli import main\n"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
-        "print(json.dumps(['ast' in sys.modules, 'IDENTITIES' in vars(sys.modules['triwords.recurrence'])]))\n"
+        "relations = sys.modules.get('triwords.relations')\n"
+        "print(json.dumps(['ast' in sys.modules, relations is not None and 'IDENTITIES' in vars(relations)]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=120)
@@ -720,31 +723,10 @@ def test_only_validate_reads_the_identity_texts(argv, read):
     assert json.loads(proc.stdout) == [read, read]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        *(
-            pytest.param(["compute", "--class", "C", "--n", "5", "--engine", engine], id=f"compute-{engine}")
-            for engine in ("coupled", "decoupled", "quartic-c")
-        ),
-        pytest.param(["table", "--format", "csv", "--max-n", "5"], id="table-csv"),
-        pytest.param(["bfile", "A391468", "--max-n", "5"], id="bfile"),
-        pytest.param(["bench", "--max-n", "4", "--engines", ",".join(ENGINE_IDS)], id="bench"),
-        pytest.param(None, id="import-recurrence"),
-    ],
-)
-def test_only_validate_loads_the_relation_reader(argv):
-    # relations, and the parser it reads the texts with, load for validate
-    # alone (see test_each_command_loads_only_its_engine_modules)
-    if argv is None:
-        run = "import triwords.recurrence\n"
-    else:
-        run = (
-            "from triwords.cli import main\n"
-            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
-        )
+def test_importing_recurrence_loads_no_relation_reader():
+    # recurrence holds the relation texts as data; relations reads them
     script = (
-        f"import contextlib, io, json, sys\n{run}"
+        "import json, sys, triwords.recurrence\n"
         "print(json.dumps(['triwords.relations' in sys.modules, 'ast' in sys.modules]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -762,10 +744,8 @@ def test_exports_are_their_home_modules_objects():
         "digits": ["decimal_digits"],
         "engines": ["bench_engine", "compute_value"],
         "genfun": ["gf_coefficients", "gf_for_class"],
-        "recurrence": [
-            "TRANSITION_MATRIX", "coupled_sequence", "decoupled_d", "decoupled_third_order", "identity_suite",
-            "quartic_c",
-        ],
+        "recurrence": ["TRANSITION_MATRIX", "coupled_sequence", "decoupled_d", "decoupled_third_order", "quartic_c"],
+        "relations": ["identity_suite"],
     }
     assert sorted(triwords.__all__) == sorted(name for names in homes.values() for name in names)
     for home, names in homes.items():
@@ -779,9 +759,9 @@ def test_exports_are_their_home_modules_objects():
         "closedform": ["case_mod4_vector", "closed_form_vector", "root_basis_vector"],
         "genfun": ["gf_at", "gf_for_class", "gf_stream"],
         "recurrence": [
-            "char_poly_check", "coupled_at", "coupled_stream", "decoupled_at", "decoupled_stream", "identity_suite",
-            "quartic_c", "quartic_c_stream",
+            "coupled_at", "coupled_stream", "decoupled_at", "decoupled_stream", "quartic_c", "quartic_c_stream",
         ],
+        "relations": ["char_poly_check", "identity_suite"],
     }
     engines = importlib.import_module("triwords.engines")
     for home, names in engine_functions.items():

@@ -16,15 +16,12 @@ from triwords.counting import ClassLabel, ClassVector, InternalError, compositio
 from triwords.digits import EXACT
 from triwords.recurrence import (
     DECOUPLED,
-    IDENTITIES,
     QUARTIC_C,
     TRANSITION_MATRIX,
-    IdentityViolation,
     NotRelabellingInvariant,
     _recurrence,
     _six_mul,
     char_poly,
-    char_poly_check,
     coupled_at,
     coupled_sequence,
     coupled_step,
@@ -32,11 +29,11 @@ from triwords.recurrence import (
     decoupled_at,
     decoupled_d,
     decoupled_third_order,
-    identity_suite,
     quartic_c,
     recurrence_at,
     six_entries,
 )
+from triwords.relations import IDENTITIES, IdentityViolation, char_poly_check, identity_suite
 from truth_table import TRUTH
 
 
@@ -355,18 +352,6 @@ def test_unreadable_char_poly_relation_is_internal_error(monkeypatch):
     monkeypatch.setattr(recurrence, "CHAR_POLY_RELATION", "x^4 = A(n)")
     with pytest.raises(InternalError, match=re.escape("cannot read 'A(n)' in the relation 'x^4 = A(n)'")):
         char_poly_check()
-
-
-def test_recurrence_reexports_the_relation_checks():
-    # the checks live in relations; recurrence hands out the same objects
-    from triwords import relations
-
-    for name in "IdentityReport IdentityResult IdentityViolation _collect _identity _read char_poly_check".split():
-        assert getattr(recurrence, name) is getattr(relations, name)
-    from triwords.recurrence import identity_suite as reexported
-
-    assert reexported is identity_suite is relations.identity_suite
-    assert recurrence.IDENTITIES is vars(recurrence)["IDENTITIES"]
 
 
 class TestCharPolyFromStep:
