@@ -68,9 +68,7 @@ def _bfile_stream(sequence: str, max_n: int, offset: int = 1) -> Iterator[str]:
     """
     if sequence not in OEIS_SEQUENCES:
         raise UnknownSequence(f"unknown sequence {sequence!r}; known: {', '.join(OEIS_SEQUENCES)}")
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    if offset < 0 or offset > max_n:
+    if not 0 <= offset <= max_n:
         raise ValueError(f"offset must be in 0..max_n, got {offset}")
     label = OEIS_SEQUENCES[sequence]
     values = check_domain("decoupled", max_n, label).rows((label,), offset, max_n, Decimal)

@@ -12,13 +12,12 @@ route, `rows`, gives n = lo..hi and serves `table`, `bfile` and
 n.  Both routes give ints, or another number type `num`, such as `Decimal`,
 for a caller that only prints them.  Every engine but the enumerators
 computes in num from num seeds, so no computed int is converted; the
-enumerators count faster on ints, and `at`, the one caller of each point
-function, converts their values itself.  The report, on ints, checks
-every engine's rows, and each streaming engine's point route at n <= 8
-and at its last n, against the coupled reference, whose own point route
-it checks at the same n against the reference stream; then the 27^n
-total identity, the characteristic-polynomial factorisation and the
-identity suite.
+enumerators count faster on ints, and their registry entries convert the
+counts to num.  The report, on ints, checks every engine's rows, and
+each streaming engine's point route at n <= 8 and at its last n, against
+the coupled reference, whose own point route it checks at the same n
+against the reference stream; then the 27^n total identity, the
+characteristic-polynomial factorisation and the identity suite.
 """
 
 from __future__ import annotations
@@ -60,11 +59,9 @@ class EngineDomainError(ValueError):
 Num = Callable[[int], Any]
 
 # An engine's rows: (labels, lo, hi, num=int) -> the values of those classes,
-# in label order and as num, for n = lo..hi.  Its point function,
-# (labels, n) for ints or (labels, n, num) for another num, gives those
-# values at n; EngineInfo.at is the one caller.
+# in label order and as num, for n = lo..hi.  Its point function, at,
+# (labels, n, num=int), gives those values at n.
 Rows = Callable[..., Iterator[tuple]]
-Point = Callable[..., tuple]
 
 
 def _streamed(stream: Callable[[tuple[ClassLabel, ...], Num], Iterator[tuple]]) -> Rows:
@@ -78,27 +75,15 @@ def _pick(v: ClassVector, labels: tuple[ClassLabel, ...]) -> tuple[int, ...]:
     return tuple(map(v.component, labels))
 
 
-class EngineInfo(
-    namedtuple("EngineInfo", "name min_n max_n labels point stream check_max_n ints_only", defaults=(None, None, False))
-):
-    """An engine's domain, its classes from min_n to max_n (None: no cap), and its point route.
+class EngineInfo(namedtuple("EngineInfo", "name min_n max_n labels at stream check_max_n", defaults=(None, None))):
+    """An engine's domain, its classes from min_n to max_n (None: no cap), and its point route at.
 
     stream is the engine's own stream route; without one, rows maps at over
     n.  Validation stops at check_max_n even where the engine itself goes
-    further.  With ints_only, point computes on ints only and at converts
-    its values to num: the enumerators, whose many mid-size products run
-    faster on ints than on Decimal.
+    further.
     """
 
     __slots__ = ()
-
-    def at(self, labels: tuple[ClassLabel, ...], n: int, num: Num = int) -> tuple:
-        """The values of those classes at n, in label order and as num."""
-        if num is int:
-            return self.point(labels, n)
-        if self.ints_only:
-            return tuple(map(num, self.point(labels, n)))
-        return self.point(labels, n, num)
 
     def rows(self, labels: tuple[ClassLabel, ...], lo: int, hi: int, num: Num = int) -> Iterator[tuple]:
         if self.stream is not None:
@@ -108,30 +93,29 @@ class EngineInfo(
 
 # The lambdas read their engine functions as attributes of this module at
 # call time, so the registry follows whatever those names are bound to, and
-# the first call binds a name and imports its module (see __getattr__).  A
-# point function hands its trailing num, if any, to the engine function.
+# the first call binds a name and imports its module (see __getattr__).
 ENGINES: dict[str, EngineInfo] = {
     e.name: e
     for e in (
         EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS,
-                   lambda labels, n: _pick(brute_force_words(n), labels), ints_only=True),
+                   lambda labels, n, num=int: tuple(map(num, _pick(brute_force_words(n), labels)))),
         EngineInfo("compsum", 0, None, ALL_LABELS,
-                   lambda labels, n: _pick(composition_sum(n), labels), check_max_n=300, ints_only=True),
-        EngineInfo("coupled", 0, None, ALL_LABELS, lambda labels, n, *num: _pick(_here.coupled_at(n, *num), labels),
+                   lambda labels, n, num=int: tuple(map(num, _pick(composition_sum(n), labels))), check_max_n=300),
+        EngineInfo("coupled", 0, None, ALL_LABELS, lambda labels, n, num=int: _pick(_here.coupled_at(n, num), labels),
                    _streamed(lambda labels, num: (_pick(v, labels) for v in _here.coupled_stream(num)))),
         EngineInfo("decoupled", 0, None, ALL_LABELS,
-                   lambda labels, n, *num: tuple(_here.decoupled_at(label, n, *num) for label in labels),
+                   lambda labels, n, num=int: tuple(_here.decoupled_at(label, n, num) for label in labels),
                    _streamed(lambda labels, num: zip(*(_here.decoupled_stream(label, num) for label in labels)))),
-        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), lambda labels, n, *num: (_here.quartic_c(n, *num),),
+        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), lambda labels, n, num=int: (_here.quartic_c(n, num),),
                    _streamed(lambda labels, num: zip(_here.quartic_c_stream(num)))),
         EngineInfo("closed", 1, None, ALL_LABELS,
-                   lambda labels, n, *num: _pick(_here.closed_form_vector(n, *num), labels)),
+                   lambda labels, n, num=int: _pick(_here.closed_form_vector(n, num), labels)),
         EngineInfo("rootbasis", 1, None, ALL_LABELS,
-                   lambda labels, n, *num: _pick(_here.root_basis_vector(n, *num), labels)),
+                   lambda labels, n, num=int: _pick(_here.root_basis_vector(n, num), labels)),
         EngineInfo("mod4", 1, None, ALL_LABELS,
-                   lambda labels, n, *num: _pick(_here.case_mod4_vector(n, *num), labels)),
+                   lambda labels, n, num=int: _pick(_here.case_mod4_vector(n, num), labels)),
         EngineInfo("genfun", 0, None, ALL_LABELS,
-                   lambda labels, n, *num: tuple(_here.gf_at(_here.gf_for_class(label), n, *num) for label in labels),
+                   lambda labels, n, num=int: tuple(_here.gf_at(_here.gf_for_class(label), n, num) for label in labels),
                    _streamed(lambda labels, num: zip(*(_here.gf_stream(_here.gf_for_class(label), num)
                                                        for label in labels)))),
     )

@@ -5,17 +5,15 @@ elimination identity (IDENTITY_RELATIONS) once, as text.  One reader, _read,
 takes a text as data and never runs it (no eval): it parses the text and
 walks a closed grammar into polynomials.  An identity's residual, right side
 minus left, is the sum over its linear form; its window of valid indices
-spans the form's offsets.  The texts are read through `recurrence` when
-checked, so a rebound text is the one checked; IDENTITIES, built from them
-on first read, is kept here.  Of the commands, only validate loads this
-module.
+spans the form's offsets.  The texts are read through `recurrence` each
+time they are checked, so a rebound text is the one checked.  Of the
+commands, only validate loads this module.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-import sys
 from collections import namedtuple
 from functools import reduce
 from typing import Callable, Iterable, Sequence
@@ -144,16 +142,9 @@ def _identity(name: str, relation: str) -> Identity:
     return name, relation, max(0, -min(offsets)), max(0, max(offsets)), residual
 
 
-def __getattr__(name: str) -> tuple[Identity, ...]:
-    """IDENTITIES, read off recurrence.IDENTITY_RELATIONS on first read (PEP 562) and then kept."""
-    if name != "IDENTITIES":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = tuple(_identity(*identity) for identity in recurrence.IDENTITY_RELATIONS)
-    return value
-
-
-# This module, whose IDENTITIES identity_suite reads through it, so that it is built on first use.
-_here = sys.modules[__name__]
+def identities() -> tuple[Identity, ...]:
+    """The identities of recurrence.IDENTITY_RELATIONS, read now."""
+    return tuple(_identity(*identity) for identity in recurrence.IDENTITY_RELATIONS)
 
 
 class IdentityResult(namedtuple("IdentityResult", "name relation checked first_failure")):
@@ -192,7 +183,7 @@ def identity_suite(N: int, sequence: Sequence[ClassVector] | None = None, strict
         raise ValueError(f"identity suite needs N >= 4, got {N}")
     seq = recurrence.coupled_sequence(N) if sequence is None else sequence
     results = []
-    for name, relation, first_valid, lookahead, residual in _here.IDENTITIES:
+    for name, relation, first_valid, lookahead, residual in identities():
         first_failure = None
         checked = 0
         for n in range(first_valid, N - lookahead + 1):

@@ -42,12 +42,7 @@ def default_int_str_cap():
 
 @pytest.fixture
 def relation_texts(monkeypatch):
-    """A setter of recurrence.IDENTITY_RELATIONS for the test; relations.IDENTITIES, built on first read, is cleared first.
+    """A setter of recurrence.IDENTITY_RELATIONS for the test, which relations reads each time it checks them."""
+    from triwords import recurrence
 
-    Clearing reads the shipped texts once, so that the original IDENTITIES
-    is restored after the test, and the next read builds from the texts set.
-    """
-    from triwords import recurrence, relations
-
-    monkeypatch.delattr(relations, "IDENTITIES", raising=False)
     return lambda relations: monkeypatch.setattr(recurrence, "IDENTITY_RELATIONS", tuple(relations))

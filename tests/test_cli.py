@@ -436,6 +436,11 @@ class TestBfile:
         assert code == 2
         assert "max_n" in err
 
+    def test_offset_0_to_max_n_0_is_one_line(self, capsys):
+        # the range 0..max_n holds one index when both are 0
+        assert bfile_lines("A391468", 0, 0) == ["0 1"]
+        assert run_cli(capsys, "bfile", "A391468", "--max-n", "0", "--offset", "0") == (0, "0 1\n", "")
+
     @pytest.mark.parametrize("offset", [-1, 6])
     def test_offset_outside_0_to_max_n_rejected(self, capsys, offset):
         with pytest.raises(ValueError, match=f"^offset must be in 0..max_n, got {offset}$"):
@@ -481,8 +486,8 @@ class TestValidate:
         # mod4 with C one too large at a single index; a value past 40 digits shows by its size
         real = closedform.case_mod4_vector
 
-        def off_by_one(n):
-            v = real(n)
+        def off_by_one(n, num=int):
+            v = real(n, num)
             return v._replace(c=v.c + 1) if n == bad_n else v
 
         monkeypatch.setattr("triwords.engines.case_mod4_vector", off_by_one)
@@ -699,28 +704,6 @@ def test_each_command_loads_only_its_engine_modules(argv, loaded):
     assert package == {"cli", "counting", "digits", "engines"} | loaded
     # the parser that reads the relation texts loads with relations alone
     assert ("ast" in modules) == ("relations" in loaded)
-
-
-@pytest.mark.parametrize(
-    "argv, read",
-    [
-        pytest.param(["compute", "--class", "A", "--n", "1"], False, id="compute"),
-        pytest.param(["table", "--format", "csv", "--max-n", "5"], False, id="table-csv"),
-        pytest.param(["validate", "--max-n", "4"], True, id="validate"),
-    ],
-)
-def test_only_validate_reads_the_identity_texts(argv, read):
-    # IDENTITIES is built on first read, and the parser that reads its texts loads then
-    script = (
-        "import contextlib, io, json, sys\nfrom triwords.cli import main\n"
-        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
-        "relations = sys.modules.get('triwords.relations')\n"
-        "print(json.dumps(['ast' in sys.modules, relations is not None and 'IDENTITIES' in vars(relations)]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [read, read]
 
 
 def test_importing_recurrence_loads_no_relation_reader():

@@ -33,7 +33,7 @@ from triwords.recurrence import (
     recurrence_at,
     six_entries,
 )
-from triwords.relations import IDENTITIES, IdentityViolation, char_poly_check, identity_suite
+from triwords.relations import IdentityViolation, char_poly_check, identities, identity_suite
 from truth_table import TRUTH
 
 
@@ -348,6 +348,19 @@ def test_unreadable_identity_names_text_and_piece(relation_texts, text, piece):
     assert repr(text) in str(err.value) and repr(piece) in str(err.value)
 
 
+def test_rebound_identity_text_is_the_one_checked(monkeypatch):
+    # a first run reads the shipped texts; a rebound text, set without the
+    # relation_texts fixture, must be read on the next run, not a kept copy
+    identity_suite(10)
+    name, text = recurrence.IDENTITY_RELATIONS[0]
+    mutant = re.sub(r"\d+", lambda m: str(int(m[0]) + 1), text, count=1)
+    assert mutant != text
+    monkeypatch.setattr(recurrence, "IDENTITY_RELATIONS", ((name, mutant), *recurrence.IDENTITY_RELATIONS[1:]))
+    with pytest.raises(IdentityViolation) as err:
+        identity_suite(10)
+    assert err.value.name == name
+
+
 def test_unreadable_char_poly_relation_is_internal_error(monkeypatch):
     monkeypatch.setattr(recurrence, "CHAR_POLY_RELATION", "x^4 = A(n)")
     with pytest.raises(InternalError, match=re.escape("cannot read 'A(n)' in the relation 'x^4 = A(n)'")):
@@ -403,7 +416,7 @@ class _ReadRecorder:
 
 
 class TestIdentitySuite:
-    @pytest.mark.parametrize("identity", IDENTITIES, ids=[identity[0] for identity in IDENTITIES])
+    @pytest.mark.parametrize("identity", identities(), ids=lambda identity: identity[0])
     def test_declared_windows_are_the_read_ones(self, identity):
         # the first n whose reads are all >= 0, and the furthest read past n
         _, _, first_valid, lookahead, residual = identity
@@ -411,7 +424,7 @@ class TestIdentitySuite:
         residual(view, view.n)
         assert (first_valid, lookahead) == (max(0, -min(view.offsets)), max(0, max(view.offsets)))
 
-    @pytest.mark.parametrize("identity", IDENTITIES, ids=[identity[0] for identity in IDENTITIES])
+    @pytest.mark.parametrize("identity", identities(), ids=lambda identity: identity[0])
     def test_residual_is_right_minus_left_of_the_printed_relation(self, identity):
         # on random sequences, where no identity holds, the relation text is
         # evaluated here with its own lookups, so a residual that checks
@@ -429,7 +442,7 @@ class TestIdentitySuite:
     def test_all_pass_to_ten(self):
         report = identity_suite(10)
         assert report.all_pass
-        assert len(report.results) == len(IDENTITIES) == 9
+        assert len(report.results) == len(identities()) == 9
         assert all(r.checked > 0 for r in report.results)
 
     def test_d_minus_3c_at_two_by_hand(self):

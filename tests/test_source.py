@@ -46,3 +46,19 @@ def test_only_relations_imports_ast_or_matches():
             if imports or isinstance(node, ast.Match) or isinstance(node, ast.ImportFrom) and node.module == "ast":
                 holders.add(path.name)
     assert holders == {"relations.py"}
+
+
+def test_package_divides_nothing_with_slash():
+    # Values may be Decimals computed in digits.EXACT, whose precision is the
+    # largest libmpdec allows; there a quotient that does not terminate,
+    # Decimal(1) / Decimal(3), tries to fill that precision and raises
+    # MemoryError, not a trapped signal, so it escapes cli.main as a
+    # traceback.  Division is written // or divmod, whose integer quotient
+    # is exact.
+    divisions = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "triwords").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert divisions == []
