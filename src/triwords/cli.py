@@ -11,11 +11,11 @@ reports a process killed by that signal) when the reader of stdout
 closes it early, as `| head` does; that exit prints nothing.  All values
 print in full decimal, so outputs diff bit for bit.  Every printed value,
 single (compute, bench, the aligned table's widths) or streamed (table,
-bfile), is an exact `Decimal`, in the context `digits.EXACT`, printed by
-`str()`, which is linear time; the registry converts the ints of the
-enumerators `brute` and `compsum`.  No command calls `str()` on an int
-past CPython's lowest int-to-str cap, so none touches that cap.
-`validate` checks the int routes.
+bfile), is an exact `Decimal`, in the context `digits.EXACT`, printed as
+`str()` gives it, in linear time (`compute` and `bench`'s digests in
+bounded pieces, by `digits.write_decimal`); the registry converts the ints
+of `brute` and `compsum`.  No command calls `str()` on an int past
+CPython's lowest int-to-str cap.  `validate` checks the int routes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from decimal import Decimal, DecimalException, localcontext
 from typing import Iterator
 
 from .counting import ClassLabel, InternalError
-from .digits import EXACT, decimal_digits
+from .digits import EXACT, decimal_digits, write_decimal
 from .engines import (
     ALL_LABELS,
     ENGINE_IDS,
@@ -82,7 +82,8 @@ def bfile_lines(sequence: str, max_n: int, offset: int = 1) -> list[str]:
 
 
 def _cmd_compute(args) -> int:
-    print(compute_value(args.engine, ClassLabel(args.cls), args.n, Decimal))
+    write_decimal(compute_value(args.engine, ClassLabel(args.cls), args.n, Decimal), sys.stdout.write)
+    print()
     return 0
 
 
@@ -132,18 +133,21 @@ def _cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _value_column(rendered: dict[ClassLabel, str]) -> str:
-    labelled = ",".join(f"{label.value}={s}" for label, s in rendered.items())
-    if len(labelled) <= 60:
-        return labelled
+def _value_column(values: dict[ClassLabel, Decimal], digits: int) -> str:
+    # "A=<digits>,B=<digits>,...": the values' digits, "A=" before each, and a comma between two.
+    if digits + 3 * len(values) - 1 <= 60:
+        return ",".join(f"{label.value}={v}" for label, v in values.items())
     # BLAKE2 is CPython's own `_blake2` module: `hashlib.blake2b` is this
     # very function, but importing hashlib loads OpenSSL's libcrypto, about
     # 3.5 MB of peak memory, so no command loads OpenSSL.  Imported here,
     # the one place that hashes.
     from _blake2 import blake2b
 
-    joined = ",".join(rendered.values())
-    return "blake2b:" + blake2b(joined.encode(), digest_size=8).hexdigest()
+    digest = blake2b(digest_size=8)
+    for i, value in enumerate(values.values()):
+        digest.update(b"," if i else b"")
+        write_decimal(value, lambda piece: digest.update(piece.encode()))
+    return "blake2b:" + digest.hexdigest()
 
 
 def _cmd_bench(args) -> int:
@@ -156,9 +160,8 @@ def _cmd_bench(args) -> int:
     print(f"{'engine':<12} {'seconds':>10} {'digits':>8}  values")
     for engine in engines:
         elapsed, values = bench_engine(engine, args.max_n, Decimal)
-        rendered = {label: str(v) for label, v in values.items()}
-        digits = sum(map(len, rendered.values()))
-        print(f"{engine:<12} {elapsed:>10.4f} {digits:>8}  {_value_column(rendered)}")
+        digits = sum(map(decimal_digits, values.values()))
+        print(f"{engine:<12} {elapsed:>10.4f} {digits:>8}  {_value_column(values, digits)}")
     return 0
 
 

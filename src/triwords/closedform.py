@@ -15,10 +15,11 @@ coefficients in Z[i, sqrt3], and D (whose recurrence is simply x(n) =
     D(n) = 2 * 3^(3n-1),
 
 and, after branching on the parity of n, with no radicals at all.  Each
-route computes the whole class vector at n, taking the shared powers once;
-the first two clear denominators (2 in the oscillating B and C, 18 in the
-root basis) and divide exactly once.  All three must agree bit for bit;
-the radical-free route exists to catch sign slips in the ring arithmetic.
+route raises its powers once per call, then builds only the classes asked
+for, so one class costs about one value beyond its power; the first two
+clear denominators (2 in the oscillating B and C, 18 in the root basis)
+and divide exactly once.  All three must agree bit for bit; the
+radical-free route exists to catch sign slips in the ring arithmetic.
 Each takes a number type `num`, int by default or `decimal.Decimal` read
 in `digits.EXACT`, and raises its powers from num(3), num(27) or X2 with
 num coordinates, so no computed int is ever converted.
@@ -66,28 +67,38 @@ def _exact_quotient(value: AlgebraicQ3i, divisor: int) -> int | Decimal:
     return quotient
 
 
-def closed_form_vector(n: int, num: Callable[[int], T] = int) -> ClassVector:
-    """Evaluate the oscillating-term formulas for every class at n in Z[i, sqrt3], as num."""
+def closed_form_at(labels: tuple[ClassLabel, ...], n: int, num: Callable[[int], T] = int) -> tuple[T, ...]:
+    """The classes in labels at n from the oscillating-term formulas in Z[i, sqrt3], as num."""
     _require_positive(n)
     base = num(3) ** (3 * n - 2)
     osc = i_power(n) * sqrt3_power(3 * n - 2, num)
     even, odd = (1 + (-1) ** n) * osc, (1 - (-1) ** n) * I_SQRT3 * osc
+    del osc  # not held while the classes are built
     # B and C twice over, clearing the 1/2 of their oscillating terms; C's i*sqrt3 is B's negated.
-    b2, c2 = 2 * base - even - odd, 2 * base - even + odd
-    return ClassVector(n, _exact_quotient(base + even, 1), _exact_quotient(b2, 2), _exact_quotient(c2, 2), 6 * base)
+    forms = dict(zip(ClassLabel, (
+        lambda: _exact_quotient(base + even, 1),
+        lambda: _exact_quotient(2 * base - even - odd, 2),
+        lambda: _exact_quotient(2 * base - even + odd, 2),
+        lambda: 6 * base,
+    )))
+    return tuple(forms[label]() for label in labels)
 
 
-def root_basis_vector(n: int, num: Callable[[int], T] = int) -> ClassVector:
-    """Evaluate every class at n as a combination of the root powers, over the denominator 18, as num."""
+def root_basis_at(labels: tuple[ClassLabel, ...], n: int, num: Callable[[int], T] = int) -> tuple[T, ...]:
+    """The classes in labels at n as combinations of the root powers, over the denominator 18, as num."""
     _require_positive(n)
-    x1n, x2n = num(X1) ** n, AlgebraicQ3i(*map(num, X2)) ** n
+    rows = [_ROOT_BASIS_X18[label] for label in labels]
+    x2n = AlgebraicQ3i(*map(num, X2)) ** n
     x3n = x2n.conjugate()  # X3 is X2's conjugate, and conjugation is a ring automorphism
-    rows = (_ROOT_BASIS_X18[label] for label in ClassLabel)
-    return ClassVector(n, *(_exact_quotient(c1 * x1n + c2 * x2n + c3 * x3n, 18) for c1, c2, c3 in rows))
+    # The conjugate pair's terms have half the digits of 27^n, so they are summed before it is raised.
+    pairs = [c2 * x2n + c3 * x3n for _, c2, c3 in rows]
+    del x2n, x3n
+    x1n = num(X1) ** n
+    return tuple(_exact_quotient(c1 * x1n + pair, 18) for (c1, _, _), pair in zip(rows, pairs))
 
 
-def case_mod4_vector(n: int, num: Callable[[int], T] = int) -> ClassVector:
-    """Evaluate every class at n with integer arithmetic only, as num.
+def case_mod4_at(labels: tuple[ClassLabel, ...], n: int, num: Callable[[int], T] = int) -> tuple[T, ...]:
+    """The classes in labels at n with integer arithmetic only, as num.
 
     For even n the oscillation collapses to (-1)^(n/2) * 3^((3n-2)/2); for
     odd n the half-integer power of 3 combines with the i*sqrt3 factor
@@ -99,21 +110,31 @@ def case_mod4_vector(n: int, num: Callable[[int], T] = int) -> ClassVector:
     sign = -1 if (n // 2) % 2 else 1
     if n % 2 == 0:
         half = sign * three ** ((3 * n - 2) // 2)
-        return ClassVector(n, base + 2 * half, base - half, base - half, 6 * base)
-    odd = sign * three ** ((3 * n - 1) // 2)
-    return ClassVector(n, base, base + odd, base - odd, 6 * base)
+        forms = (lambda: base + 2 * half, lambda: base - half, lambda: base - half, lambda: 6 * base)
+    else:
+        odd = sign * three ** ((3 * n - 1) // 2)
+        forms = (lambda: base, lambda: base + odd, lambda: base - odd, lambda: 6 * base)
+    by_label = dict(zip(ClassLabel, forms))  # each class built only when asked
+    return tuple(by_label[label]() for label in labels)
+
+
+def _vector(route: Callable[..., tuple]) -> Callable[..., ClassVector]:  # every class at n, by route
+    return lambda n, num=int: ClassVector(n, *route(tuple(ClassLabel), n, num))
+
+
+closed_form_vector, root_basis_vector, case_mod4_vector = map(_vector, (closed_form_at, root_basis_at, case_mod4_at))
 
 
 def closed_form(label: ClassLabel, n: int) -> int:
-    """C_label(n) from the oscillating-term formulas; see closed_form_vector."""
-    return closed_form_vector(n).component(label)
+    """C_label(n) from the oscillating-term formulas; see closed_form_at."""
+    return closed_form_at((label,), n)[0]
 
 
 def root_basis(label: ClassLabel, n: int) -> int:
-    """C_label(n) from the root powers; see root_basis_vector."""
-    return root_basis_vector(n).component(label)
+    """C_label(n) from the root powers; see root_basis_at."""
+    return root_basis_at((label,), n)[0]
 
 
 def case_mod4(label: ClassLabel, n: int) -> int:
-    """C_label(n) with integer arithmetic only; see case_mod4_vector."""
-    return case_mod4_vector(n).component(label)
+    """C_label(n) with integer arithmetic only; see case_mod4_at."""
+    return case_mod4_at((label,), n)[0]

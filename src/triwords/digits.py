@@ -1,4 +1,4 @@
-"""Decimal text of big integers: full renderings, digit counts and short forms.
+"""Decimal text of big integers: full renderings, piecewise writing, digit counts and short forms.
 
 CPython's `str(int)` takes time quadratic in the digit count before 3.12,
 and the paper's counts have about 1.43·n digits, so a value at n = 3·10⁵
@@ -25,11 +25,13 @@ libmpdec already stores base-10¹⁹ limbs, and past about a megabit libmpdec
 multiplies by a number-theoretic transform where ints use Karatsuba.
 
 `decimal_digits` and `brief` take an int or a Decimal, so neither ever
-converts one into the other.
+converts one into the other.  `write_decimal` writes `str()` of a Decimal
+in pieces, so no huge value's whole text (five times its memory) is held.
 """
 
 import decimal
 from numbers import Rational
+from typing import Callable
 
 FULL_DIGITS = 40  # message text shows an integer up to this long in full, a longer one by its size
 
@@ -39,6 +41,7 @@ FULL_DIGITS = 40  # message text shows an integer up to this long in full, a lon
 STR_BITS = 2126
 # The split stops at pieces this short; Decimal(int) converts them directly.
 LEAF_BITS = 3000
+PIECE_DIGITS = 2**14  # write_decimal writes a longer value in pieces of at most this many digits
 
 # Enter it with decimal.localcontext(EXACT), which works on a copy, so the
 # flags one computation raises never reach this shared object.
@@ -88,6 +91,26 @@ def to_decimal(n: int) -> str:
     with decimal.localcontext(EXACT):
         text = str(convert(abs(n), n.bit_length()))
     return "-" + text if n < 0 else text
+
+
+def write_decimal(value: decimal.Decimal, write: Callable[[str], object]) -> None:
+    """Pass str(value) to write, a nonnegative integer with exponent 0 in pieces of at most PIECE_DIGITS digits.
+
+    A piece w digits wide splits exactly, in EXACT, into its high w - w // 2
+    digits, by scaleb and truncation, and the rest, written zero-padded; the
+    halves waiting on the stack add up to about one more copy of the value.
+    """
+    integral = not value.is_signed() and value.same_quantum(1)  # else one piece, str(value)
+    with decimal.localcontext(EXACT):
+        pending = [(value, decimal_digits(value) if integral else 0)]
+        while pending:
+            piece, width = pending.pop()
+            if width <= PIECE_DIGITS:
+                write(str(piece).zfill(width))
+                continue
+            low = width // 2
+            high = piece.scaleb(-low).to_integral_value(decimal.ROUND_DOWN)
+            pending += ((piece - high.scaleb(low), low), (high, width - low))
 
 
 def decimal_digits(n: int | decimal.Decimal) -> int:

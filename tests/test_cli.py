@@ -22,7 +22,7 @@ from triwords import cli, closedform, recurrence
 from triwords.cli import BROKEN_PIPE, OEIS_SEQUENCES, bfile_lines, main
 from triwords.closedform import case_mod4
 from triwords.counting import ClassLabel
-from triwords.digits import STR_BITS, to_decimal
+from triwords.digits import EXACT, PIECE_DIGITS, STR_BITS, to_decimal
 from triwords.engines import ENGINE_IDS, ENGINES, bench_engine, compute_series, compute_value, decimal_digits
 from triwords.recurrence import coupled_sequence
 
@@ -91,13 +91,11 @@ class TestCompute:
         assert err == "internal error: 35872267.5 is not an integer\n"
 
     def test_decimal_signal_is_internal_error(self, capsys, monkeypatch):
-        from triwords.counting import ClassVector
-
-        def undefined_quotient(n, num=int):
+        def undefined_quotient(labels, n, num=int):
             undefined = num(0) / num(0)  # InvalidOperation, which the exact context traps
-            return ClassVector(n, undefined, undefined, undefined, undefined)
+            return (undefined,) * len(labels)
 
-        monkeypatch.setattr("triwords.engines.case_mod4_vector", undefined_quotient)
+        monkeypatch.setattr("triwords.engines.case_mod4_at", undefined_quotient)
         code, out, err = run_cli(capsys, "compute", "--class", "B", "--n", "5", "--engine", "mod4")
         assert code == 3
         assert out == ""
@@ -138,10 +136,10 @@ class TestCompute:
         # cli names one base class, so an internal error it was never told about still exits 3
         from triwords.counting import InternalError
 
-        def broken(n, *num):
+        def broken(labels, n, num=int):
             raise InternalError("x")
 
-        monkeypatch.setattr("triwords.engines.case_mod4_vector", broken)
+        monkeypatch.setattr("triwords.engines.case_mod4_at", broken)
         result = run_cli(capsys, "compute", "--engine", "mod4", "--class", "A", "--n", "5")
         assert result == (3, "", "internal error: x\n")
 
@@ -178,6 +176,38 @@ class TestCompute:
         for label in ClassLabel:
             result = run_cli(capsys, "compute", "--engine", engine, "--class", label.value, "--n", "60000")
             assert result == (0, str(compute_value(engine, label, 60000)) + "\n", ""), label
+
+    # An n whose value spans several of the writer's pieces on every engine but the enumerators,
+    # which reach one piece only, and a class for each.
+    PIECES = {
+        "brute": ("A", 5), "compsum": ("B", 300), "coupled": ("D", 50_000), "decoupled": ("A", 50_000),
+        "quartic-c": ("C", 50_000), "closed": ("B", 50_001), "rootbasis": ("C", 50_002), "mod4": ("A", 50_003),
+        "genfun": ("B", 50_000),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINE_IDS)
+    def test_value_written_in_pieces_is_str_of_the_decimal(self, capsys, engine):
+        cls, n = self.PIECES[engine]
+        with localcontext(EXACT):
+            text = str(compute_value(engine, ClassLabel(cls), n, Decimal))
+        assert engine in ("brute", "compsum") or len(text) > 4 * PIECE_DIGITS
+        assert run_cli(capsys, "compute", "--engine", engine, "--class", cls, "--n", str(n)) == (0, text + "\n", "")
+
+    @pytest.mark.parametrize("cls", ["A", "B", "C", "D"])
+    @pytest.mark.parametrize("engine", ["closed", "rootbasis", "mod4"])
+    def test_closed_form_value_costs_one_value(self, engine, cls):
+        # The value has about 286,275 digits, 0.12 MB, and 3^(3n-2) itself peaks near 0.45 MiB.  Computing all four
+        # classes for one, or printing the value's whole text, took the peak to 0.7-0.96 MiB.
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            assert main(["compute", "--engine", engine, "--class", cls, "--n", "5"]) == 0  # one-time allocations
+            tracemalloc.start()
+            try:
+                code = main(["compute", "--engine", engine, "--class", cls, "--n", "200002"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 0.64 * 2**20
 
     def test_huge_value_prints_in_full(self, capsys, no_int_str_cap):
         code, out, _ = run_cli(capsys, "compute", "--class", "D", "--n", "3200")
@@ -484,13 +514,12 @@ class TestValidate:
     )
     def test_mismatch_names_index_class_and_values(self, capsys, monkeypatch, bad_n, shown):
         # mod4 with C one too large at a single index; a value past 40 digits shows by its size
-        real = closedform.case_mod4_vector
+        real = closedform.case_mod4_at
 
-        def off_by_one(n, num=int):
-            v = real(n, num)
-            return v._replace(c=v.c + 1) if n == bad_n else v
+        def off_by_one(labels, n, num=int):
+            return tuple(v + (n == bad_n and label is ClassLabel.C) for label, v in zip(labels, real(labels, n, num)))
 
-        monkeypatch.setattr("triwords.engines.case_mod4_vector", off_by_one)
+        monkeypatch.setattr("triwords.engines.case_mod4_at", off_by_one)
         code, out, _ = run_cli(capsys, "validate", "--max-n", "120")
         assert code == 1
         assert f"FAIL  engine/mod4-vs-coupled: mismatch at n={bad_n} class C: {shown}\n" in out
@@ -739,7 +768,7 @@ def test_exports_are_their_home_modules_objects():
         triwords.no_such_export
     # engines binds the functions it takes from the engine modules the same way
     engine_functions = {
-        "closedform": ["case_mod4_vector", "closed_form_vector", "root_basis_vector"],
+        "closedform": ["case_mod4_at", "closed_form_at", "root_basis_at"],
         "genfun": ["gf_at", "gf_for_class", "gf_stream"],
         "recurrence": [
             "coupled_at", "coupled_stream", "decoupled_at", "decoupled_stream", "quartic_c", "quartic_c_stream",
@@ -824,6 +853,33 @@ def test_closed_stdout_exits_quietly(argv, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (BROKEN_PIPE, b"")
+
+
+def test_reader_gone_after_the_first_piece_exits_quietly():
+    # The value has 286,272 digits, more than the pipe holds, so the writes after the reader goes fail.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-m", "triwords", "compute", "--engine", "mod4", "--class", "A", "--n", "200000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.read(PIECE_DIGITS)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert len(first) == PIECE_DIGITS and first.isdigit()
+    assert (proc.returncode, err) == (BROKEN_PIPE, b"")
+
+
+def test_bench_binds_the_route_before_its_clock_starts():
+    # The engine functions bind, and import their module, on first use; bench must not time that.
+    script = (
+        "import json, sys, time\nfrom triwords import engines\n"
+        "assert 'triwords.closedform' not in sys.modules\n"
+        "seen, clock = [], time.perf_counter\n"
+        "def spy():\n    seen.append('triwords.closedform' in sys.modules)\n    return clock()\n"
+        "time.perf_counter = spy\nengines.bench_engine('closed', 50)\nprint(json.dumps(seen))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, True]
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from triwords import engines
 from triwords.closedform import case_mod4_vector
 from triwords.counting import ClassLabel, brute_force_words, composition_sum
-from triwords.digits import EXACT, LEAF_BITS, STR_BITS, brief, to_decimal
+from triwords.digits import EXACT, LEAF_BITS, PIECE_DIGITS, STR_BITS, brief, to_decimal, write_decimal
 from triwords.engines import (
     ENGINE_IDS,
     EngineDomainError,
@@ -270,19 +270,21 @@ class TestBench:
             return power(self, exponent)
 
         monkeypatch.setattr(AlgebraicQ3i, "__pow__", counted)
-        bench_engine("rootbasis", 50)
-        assert exponents == [50]
+        bench_engine("rootbasis", 50)  # which first binds the route by one call at min_n = 1, off the clock
+        assert exponents == [1, 50]
+        compute_value("rootbasis", ClassLabel.B, 50)
+        assert exponents == [1, 50, 50]
 
     @pytest.mark.parametrize(
         "engine, route",
-        [("closed", "closed_form_vector"), ("rootbasis", "root_basis_vector"), ("mod4", "case_mod4_vector")],
+        [("closed", "closed_form_at"), ("rootbasis", "root_basis_at"), ("mod4", "case_mod4_at")],
     )
     def test_closed_forms_compute_one_vector_per_index(self, monkeypatch, engine, route):
         indices = []
         real = getattr(engines, route)
-        monkeypatch.setattr(engines, route, lambda n, num=int: indices.append(n) or real(n, num))
-        bench_engine(engine, 50)
-        assert indices == [50]
+        monkeypatch.setattr(engines, route, lambda labels, n, num=int: indices.append(n) or real(labels, n, num))
+        bench_engine(engine, 50)  # one call at min_n = 1 binds the route, then one call at 50 is timed
+        assert indices == [1, 50]
 
     def test_quartic_only_covers_c(self):
         _, values = bench_engine("quartic-c", 12)
@@ -374,3 +376,58 @@ class TestToDecimal:
         with pytest.raises(ValueError):
             str(value)
         assert to_decimal(value) == text
+
+
+def _written(value: Decimal) -> list[str]:
+    pieces: list[str] = []
+    write_decimal(value, pieces.append)
+    return pieces
+
+
+# Digit counts at and next to the sizes where the writer stops splitting or splits once more.
+PIECE_EDGES = sorted({1, 2} | {k * PIECE_DIGITS + d for k in (1, 2, 3, 4) for d in (-1, 0, 1)})
+
+
+@st.composite
+def integral_decimals(draw) -> Decimal:
+    """A Decimal integer with exponent 0, up to a few pieces long; powers of ten and their neighbours
+    (10**k, 10**k - 1, 10**k + 1) and sparse digits put runs of zeros or nines where it splits."""
+    size = draw(st.one_of(st.sampled_from(PIECE_EDGES), st.integers(min_value=1, max_value=4 * PIECE_DIGITS + 1)))
+    shape = draw(st.sampled_from(["10**k", "10**k-1", "10**k+1", "random", "sparse"]))
+    if shape == "10**k":
+        return Decimal("1" + "0" * (size - 1))
+    if shape == "10**k-1":
+        return Decimal("9" * size)
+    if shape == "10**k+1":
+        return Decimal("1" + "0" * (size - 2) + "1" if size > 1 else "1")
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    digits = "0123456789" if shape == "random" else "0000000009"
+    return Decimal(str(rng.randint(1, 9)) + "".join(rng.choices(digits, k=size - 1)))
+
+
+class TestWriteDecimal:
+    @given(st.one_of(st.just(Decimal(0)), integral_decimals()))
+    @settings(max_examples=80, deadline=None)
+    def test_pieces_join_to_str(self, value):
+        # written in the default 28-digit context, which would round the halves: the writer splits in EXACT
+        pieces = _written(value)
+        assert "".join(pieces) == str(value)
+        assert max(map(len, pieces)) <= PIECE_DIGITS
+        assert (len(pieces) == 1) == (len(str(value)) <= PIECE_DIGITS)
+
+    OTHERS = {
+        "negative": "-5",
+        "negative-3-pieces": "-" + "7" * (3 * PIECE_DIGITS),
+        "negative-zero": "-0",
+        "exponent-5": "1E+5",
+        "fraction": "1.5",
+        "fraction-3-pieces": "1" * (3 * PIECE_DIGITS) + ".5",
+        "nan": "NaN",
+        "infinity": "-Infinity",
+    }
+
+    @pytest.mark.parametrize("text", OTHERS.values(), ids=OTHERS)
+    def test_any_other_value_is_one_str(self, text):
+        # a negative value, a nonzero exponent or a special value is not split
+        value = Decimal(text)
+        assert _written(value) == [str(value)]

@@ -92,13 +92,22 @@ point_100000() {
 # A single value is computed in exact Decimal from Decimal seeds and
 # constants.  A route that converted a computed int instead would take
 # minutes at n = 10^6 on 3.10 and 3.11, where Decimal(int) is quadratic, so
-# the step fails past its time limit.
+# the step fails past its time limit.  compute writes its value in pieces,
+# and every engine prints through that one writer, so the engines' bytes
+# are also compared with libmpdec's own str() of the same Decimal.
 point_1000000() {
   timeout 5m bash "$0" _point_1000000
 }
 
 _point_1000000() {
   python -m triwords compute --class A --n 1000000 --engine mod4 > "$tmp/million-mod4"
+  python -c 'from decimal import Decimal, localcontext
+from triwords.counting import ClassLabel
+from triwords.digits import EXACT
+from triwords.engines import compute_value
+with localcontext(EXACT):
+    print(compute_value("mod4", ClassLabel.A, 1000000, Decimal))' > "$tmp/million-str"
+  cmp "$tmp/million-mod4" "$tmp/million-str"
   for engine in decoupled genfun closed rootbasis; do
     python -m triwords compute --class A --n 1000000 --engine "$engine" > "$tmp/million-$engine"
     cmp "$tmp/million-mod4" "$tmp/million-$engine"
