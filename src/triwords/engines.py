@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterator
 
 from . import _bind_on_first_use
 from .counting import BRUTE_FORCE_MAX_N, ClassLabel, ClassVector, brute_force_words, composition_sum
-from .digits import brief, decimal_digits  # decimal_digits is imported from here too
+from .digits import brief
 
 # The functions this module takes from each engine module.  Each binds on
 # first use, so a command imports only its own engine's module.
@@ -103,8 +103,7 @@ ENGINES: dict[str, EngineInfo] = {
                    lambda labels, n, num=int: tuple(map(num, _pick(composition_sum(n), labels))), check_max_n=300),
         EngineInfo("coupled", 0, None, ALL_LABELS, lambda labels, n, num=int: _pick(_here.coupled_at(n, num), labels),
                    _streamed(lambda labels, num: (_pick(v, labels) for v in _here.coupled_stream(num)))),
-        EngineInfo("decoupled", 0, None, ALL_LABELS,
-                   lambda labels, n, num=int: tuple(_here.decoupled_at(label, n, num) for label in labels),
+        EngineInfo("decoupled", 0, None, ALL_LABELS, lambda labels, n, num=int: _here.decoupled_at(labels, n, num),
                    _streamed(lambda labels, num: zip(*(_here.decoupled_stream(label, num) for label in labels)))),
         EngineInfo("quartic-c", 0, None, (ClassLabel.C,), lambda labels, n, num=int: (_here.quartic_c(n, num),),
                    _streamed(lambda labels, num: zip(_here.quartic_c_stream(num)))),
@@ -112,7 +111,7 @@ ENGINES: dict[str, EngineInfo] = {
         EngineInfo("rootbasis", 1, None, ALL_LABELS, lambda labels, n, num=int: _here.root_basis_at(labels, n, num)),
         EngineInfo("mod4", 1, None, ALL_LABELS, lambda labels, n, num=int: _here.case_mod4_at(labels, n, num)),
         EngineInfo("genfun", 0, None, ALL_LABELS,
-                   lambda labels, n, num=int: tuple(_here.gf_at(_here.gf_for_class(label), n, num) for label in labels),
+                   lambda labels, n, num=int: _here.gf_at(tuple(map(_here.gf_for_class, labels)), n, num),
                    _streamed(lambda labels, num: zip(*(_here.gf_stream(_here.gf_for_class(label), num)
                                                        for label in labels)))),
     )

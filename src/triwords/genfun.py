@@ -13,14 +13,15 @@ zeros.  Both factorings of the shared denominator expand, after sign
 normalisation, to 1 - 27x + 27x^2 - 729x^3, whose reversed coefficients
 are exactly the shared third-order recurrence; coefficient extraction
 from these functions is therefore a sixth independent compute engine:
-gf_stream reads coefficients in order, gf_at one by Bostan-Mori halving.
+gf_stream reads coefficients in order, gf_at one n by Bostan-Mori halving,
+in one chain for each distinct denominator, which A, B and C share.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
 from itertools import count, islice
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .counting import ClassLabel, InternalError, require_nonnegative
 
@@ -135,20 +136,25 @@ def _half_product(p, q, parity: int, terms: int) -> IntPolynomial:
     )
 
 
-def gf_at(gf: RationalGF, n: int, num: Callable[[int], T] = int) -> T:
-    """Taylor coefficient c_n of a rational generating function P/Q, in O(log n) products (Bostan-Mori).
+def gf_at(gfs: Sequence[RationalGF], n: int, num: Callable[[int], T] = int) -> tuple[T, ...]:
+    """Taylor coefficient c_n of each rational generating function P/Q, in O(log n) products (Bostan-Mori).
 
     P/Q = P(x)Q(-x) / V(x^2) with V(x^2) = Q(x)Q(-x), so c_n is c_(n//2) of
     the even (n even) or odd part of P(x)Q(-x), over V, down to c_0 = P(0)/Q(0).
     Only the coefficients that can reach c_(n//2) are computed: the half of
-    each product of the right parity, up to degree n//2.  The coefficients
-    of P and Q are taken as num, so c_n is of that type too.
+    each product of the right parity, up to degree n//2, once per distinct Q
+    with every P over it.  P and Q are taken as num, and so is each c_n.
     """
     require_nonnegative(n)
-    _unit_constant_term(gf)
-    p, q = tuple(map(num, gf.numerator)), tuple(map(num, gf.denominator))
-    while n:
-        terms = n // 2 + 1
-        p, q = _half_product(p, q, n % 2, terms), _half_product(q, q, 0, terms)
-        n //= 2
-    return p[0] * q[0] if p else num(0)  # dividing by q_0 = +-1
+    over: dict[IntPolynomial, list[RationalGF]] = {}  # each denominator, with the functions over it
+    for gf in gfs:
+        _unit_constant_term(gf)
+        over.setdefault(gf.denominator, []).append(gf)
+    coefficients = {}
+    for q, group in over.items():
+        q, ps = tuple(map(num, q)), [tuple(map(num, gf.numerator)) for gf in group]
+        for k in (n >> j for j in range(n.bit_length())):  # n, n//2, ..., 1
+            terms = k // 2 + 1
+            ps, q = [_half_product(p, q, k % 2, terms) for p in ps], _half_product(q, q, 0, terms)
+        coefficients.update((gf, p[0] * q[0] if p else num(0)) for gf, p in zip(group, ps))  # dividing by q_0 = +-1
+    return tuple(map(coefficients.__getitem__, gfs))

@@ -26,7 +26,7 @@ runner, _recurrence, iterates them all into streams from n = 0, for runs
 of rows.  Item n alone comes from a point route in O(log n) big products:
 recurrence_at reduces t^(n-1) modulo the characteristic polynomial
 (Fiduccia), which char_poly reads off the step, as char_poly_check does,
-and keeps the last residue, which A, B and C share; coupled_at powers
+and decoupled_at reduces it once for A, B and C; coupled_at powers
 the transition matrix.  That matrix commutes with the relabelling
 A -> B -> C -> A, so each of its powers is fixed by six entries, which
 coupled_at reads off it after checking the commutation; a squaring then
@@ -45,10 +45,8 @@ reader.
 
 from __future__ import annotations
 
-import decimal
 import operator
 from collections import deque
-from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -202,25 +200,22 @@ def recurrence_at(
 
     The recurrence holds from n = d + 1, d = len(seeds) - 1, and x(0) is
     off it.  So with t^(n-1) mod char_poly(seeds, step) = sum c_k t^k,
-    x(n) = sum c_k x(k + 1), with the seeds taken as num.  The last
-    residue is kept (see _residue), so a recurrence that shares the
-    polynomial reuses it at the same n.
+    x(n) = sum c_k x(k + 1), with the seeds taken as num.
     """
+    return _recurrences_at(((seeds, step),), n, num)[0]
+
+
+def _recurrences_at(recurrences: Sequence[Recurrence], n: int, num: Callable[[int], T]) -> tuple[T, ...]:
+    """Item n of each recurrence, as num (see recurrence_at): one residue for each distinct polynomial."""
     require_nonnegative(n)
     if n == 0:
-        return num(seeds[0])
-    # Keyed on the active decimal context whatever num is, as num may
-    # compute in Decimal under another name; the context's repr names every
-    # setting, so a residue rounded in one context never reaches another,
-    # and its flags, which can only cause a miss.
-    residue = _residue(char_poly(seeds, step), n - 1, num, repr(decimal.getcontext()))
-    return sum(map(operator.mul, residue, map(num, seeds[1:])))
+        return tuple(num(seeds[0]) for seeds, _ in recurrences)
+    polys = [char_poly(*recurrence) for recurrence in recurrences]
+    residues = {poly: _residue(poly, n - 1, num) for poly in set(polys)}
+    return tuple(sum(map(operator.mul, residues[p], map(num, s[1:]))) for p, (s, _) in zip(polys, recurrences))
 
 
-# A, B and C share one polynomial, so a point request for all three, as
-# bench and the aligned table make, reduces t^(n-1) once.
-@lru_cache(maxsize=1)
-def _residue(poly: tuple[int, ...], e: int, num: Callable[[int], T], context: str) -> tuple[T, ...]:
+def _residue(poly: tuple[int, ...], e: int, num: Callable[[int], T]) -> tuple[T, ...]:
     """t^e mod the monic poly, ascending, from num(1); the small int coefficients of poly stay ints."""
     d = len(poly) - 1
     residue: list[T] = [num(1)]
@@ -234,9 +229,9 @@ def _residue(poly: tuple[int, ...], e: int, num: Callable[[int], T], context: st
     return tuple(residue)
 
 
-def decoupled_at(label: ClassLabel, n: int, num: Callable[[int], T] = int) -> T:
-    """C_label(n) by the class's own decoupled recurrence, as num."""
-    return recurrence_at(*DECOUPLED[label], n, num)
+def decoupled_at(labels: Sequence[ClassLabel], n: int, num: Callable[[int], T] = int) -> tuple[T, ...]:
+    """C_label(n) for each label, as num, each by its class's own decoupled recurrence; A, B and C share one residue."""
+    return _recurrences_at([DECOUPLED[label] for label in labels], n, num)
 
 
 def coupled_sequence(N: int) -> list[ClassVector]:
@@ -249,12 +244,12 @@ def decoupled_third_order(label: ClassLabel, n: int) -> int:
     """Class count via the shared third-order recurrence (classes A, B, C)."""
     if label is ClassLabel.D:
         raise ValueError("third-order engine covers classes A, B, C; use decoupled_d for D")
-    return decoupled_at(label, n)
+    return decoupled_at((label,), n)[0]
 
 
 def decoupled_d(n: int) -> int:
     """Class count for D: D(n) = 27*D(n-1) with D(1) = 18, and D(0) = 0."""
-    return decoupled_at(ClassLabel.D, n)
+    return decoupled_at((ClassLabel.D,), n)[0]
 
 
 def quartic_c(n: int, num: Callable[[int], T] = int) -> T:

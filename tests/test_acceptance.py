@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from triwords.closedform import case_mod4, closed_form, root_basis
 from triwords.counting import ClassLabel, brute_force_words, composition_sum, trinomial
-from triwords.engines import compute_series, compute_value, decimal_digits
+from triwords.digits import decimal_digits
+from triwords.engines import compute_series, compute_value
 from triwords.recurrence import coupled_sequence, quartic_c
 from triwords.relations import char_poly_check, identity_suite
 from triwords.ring import AlgebraicQ3i, ZERO

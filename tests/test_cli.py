@@ -22,8 +22,8 @@ from triwords import cli, closedform, recurrence
 from triwords.cli import BROKEN_PIPE, OEIS_SEQUENCES, bfile_lines, main
 from triwords.closedform import case_mod4
 from triwords.counting import ClassLabel
-from triwords.digits import EXACT, PIECE_DIGITS, STR_BITS, to_decimal
-from triwords.engines import ENGINE_IDS, ENGINES, bench_engine, compute_series, compute_value, decimal_digits
+from triwords.digits import EXACT, PIECE_DIGITS, STR_BITS, decimal_digits, to_decimal
+from triwords.engines import ENGINE_IDS, ENGINES, bench_engine, compute_series, compute_value
 from triwords.recurrence import coupled_sequence
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -16,14 +16,13 @@ from hypothesis import strategies as st
 from triwords import engines
 from triwords.closedform import case_mod4_vector
 from triwords.counting import ClassLabel, brute_force_words, composition_sum
-from triwords.digits import EXACT, LEAF_BITS, PIECE_DIGITS, STR_BITS, brief, to_decimal, write_decimal
+from triwords.digits import EXACT, LEAF_BITS, PIECE_DIGITS, STR_BITS, brief, decimal_digits, to_decimal, write_decimal
 from triwords.engines import (
     ENGINE_IDS,
     EngineDomainError,
     bench_engine,
     compute_series,
     compute_value,
-    decimal_digits,
     run_validation,
     series,
 )
@@ -208,8 +207,8 @@ class TestValidation:
     def test_point_route_mismatch_names_index_and_class(self, monkeypatch):
         real = engines.decoupled_at
 
-        def off_by_one(label, n, num=int):
-            return real(label, n, num) + (n == 40 and label is ClassLabel.B)
+        def off_by_one(labels, n, num=int):
+            return tuple(v + (n == 40 and label is ClassLabel.B) for label, v in zip(labels, real(labels, n, num)))
 
         monkeypatch.setattr(engines, "decoupled_at", off_by_one)
         (result,) = [r for r in run_validation(40) if r.name == "engine/decoupled-vs-coupled"]
@@ -246,7 +245,7 @@ class TestValidation:
 
 @pytest.mark.parametrize(
     "route",
-    [brute_force_words, composition_sum, coupled_at, partial(gf_at, gf_for_class(ClassLabel.A))],
+    [brute_force_words, composition_sum, coupled_at, partial(gf_at, (gf_for_class(ClassLabel.A),))],
     ids=["brute_force_words", "composition_sum", "coupled_at", "gf_at"],
 )
 def test_negative_n_rejected(route):

@@ -19,6 +19,10 @@ from triwords.genfun import (
 )
 from truth_table import TRUTH
 
+# Two functions whose denominators have constant term -1, neither of them
+# a class's normalised function.
+UNNORMALISED = (RationalGF((-1, 24, -9, 162), (-1, 27, -27, 729)), RationalGF((1, 2, 3, 4, 5, 6), (-1, 1, 5)))
+
 
 class TestPolyHelpers:
     def test_trim(self):
@@ -105,15 +109,24 @@ class TestRationalGF:
 
     def test_point_route_non_unit_constant_term(self):
         with pytest.raises(NonUnitConstantTerm):
-            gf_at(RationalGF((1,), (2, 1)), 3)
+            gf_at((RationalGF((1,), (2, 1)),), 3)
 
-    @pytest.mark.parametrize(
-        "gf",
-        [RationalGF((-1, 24, -9, 162), (-1, 27, -27, 729)), RationalGF((1, 2, 3, 4, 5, 6), (-1, 1, 5))],
-        ids=["class-a-unnormalised", "numerator-past-denominator"],
-    )
+    @pytest.mark.parametrize("gf", UNNORMALISED, ids=["class-a-unnormalised", "numerator-past-denominator"])
     def test_point_route_with_minus_one_constant_term_matches_stream(self, gf):
-        assert [gf_at(gf, n) for n in range(120)] == list(islice(gf_stream(gf), 120))
+        assert [gf_at((gf,), n)[0] for n in range(120)] == list(islice(gf_stream(gf), 120))
+
+    def test_point_route_shares_denominators_and_matches_each_stream(self):
+        # Four denominators: A, B and C's, D's, and one for each unnormalised
+        # function; B comes twice.
+        gfs = (*map(gf_for_class, ClassLabel), *UNNORMALISED, gf_for_class(ClassLabel.B))
+        assert len({gf.denominator for gf in gfs}) == 4
+        assert [gf_at(gfs, n) for n in range(120)] == list(islice(zip(*map(gf_stream, gfs)), 120))
+
+    @pytest.mark.parametrize("at", range(7))
+    def test_point_route_refuses_a_non_unit_constant_term_anywhere(self, at):
+        gfs = (*map(gf_for_class, ClassLabel), *UNNORMALISED)
+        with pytest.raises(NonUnitConstantTerm):
+            gf_at((*gfs[:at], RationalGF((1,), (2, 1)), *gfs[at:]), 3)
 
     def test_minus_one_constant_term_allowed(self):
         # extraction from the un-normalised orientation must give the same stream

@@ -194,32 +194,32 @@ class TestDecoupled:
         )
         assert got == TRUTH[n]
 
-    @given(st.lists(st.integers(0, 5000), min_size=1, max_size=3), st.data())
+    @given(
+        st.lists(st.sampled_from(ClassLabel), min_size=1, max_size=8),
+        st.integers(0, 5000),
+        st.sampled_from((int, Decimal)),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_shared_residue_matches_a_fresh_one(self, sizes, data):
-        # Requests interleave labels, indices and number types, and repeat
-        # indices often, so the kept residue is both reused and replaced.
-        requests = st.tuples(st.sampled_from(ClassLabel), st.sampled_from(sizes), st.sampled_from((int, Decimal)))
-        for label, n, num in data.draw(st.lists(requests, min_size=1, max_size=8)):
-            seeds, step = DECOUPLED[label]
-            with localcontext(EXACT):
-                got = decoupled_at(label, n, num)
-                if n == 0:
-                    want = num(seeds[0])
-                else:
-                    fresh = recurrence._residue.__wrapped__(char_poly(seeds, step), n - 1, num, "")
-                    want = sum(c * num(x) for c, x in zip(fresh, seeds[1:]))
-            assert type(got) is num
-            assert got == want
+    def test_shared_residue_matches_a_fresh_one(self, labels, n, num):
+        # Labels come in any order and repeat, D among them, so one call both
+        # shares the cubic's residue across A, B and C and keeps D's apart.
+        # coupled_at powers the transition matrix and shares no code with it.
+        with localcontext(EXACT):
+            got = decoupled_at(tuple(labels), n, num)
+            want = tuple(recurrence_at(*DECOUPLED[label], n, num) for label in labels)
+            coupled = tuple(map(coupled_at(n, num).component, labels))
+        assert all(type(value) is num for value in got)
+        assert got == want
+        assert got == coupled
 
     def test_residue_is_not_reused_across_contexts(self):
-        # A residue rounded in a short context must not reach an exact one,
-        # nor one of the same precision that traps the rounding.
-        a, b = (decoupled_at(label, 400) for label in (ClassLabel.A, ClassLabel.B))
+        # Each call computes in the context active at the call: a short one
+        # rounds, an exact one matches the ints, and one that traps raises.
+        a, b = decoupled_at((ClassLabel.A, ClassLabel.B), 400)
         with localcontext(Context(prec=20)):
-            assert decoupled_at(ClassLabel.A, 400, Decimal) != a
+            assert decoupled_at((ClassLabel.A,), 400, Decimal)[0] != a
         with localcontext(EXACT):
-            assert decoupled_at(ClassLabel.B, 400, Decimal) == b
+            assert decoupled_at((ClassLabel.B,), 400, Decimal)[0] == b
         # Zero seeds give x(n) = 0 exactly from any residue, so only a
         # residue recomputed in the trapping context raises.
         zeros = ((0, 0, 0, 0), DECOUPLED[ClassLabel.A][1])

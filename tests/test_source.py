@@ -62,3 +62,19 @@ def test_package_divides_nothing_with_slash():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
     ]
     assert divisions == []
+
+
+def test_package_keeps_no_functools_cache():
+    # Point routes keep no state between calls.  A cached residue once
+    # needed its own test to keep a value rounded in one decimal context
+    # from reaching an exact one.
+    names = {"lru_cache", "cache", "cached_property"}
+    caches = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "triwords").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "functools" and {a.name for a in node.names} & names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        and isinstance(node.value, ast.Name) and node.value.id == "functools"
+    ]
+    assert caches == []

@@ -139,12 +139,22 @@ enumerators() {
 # hashlib only re-exports, so no command loads hashlib's _hashlib and
 # OpenSSL: this runs that path as a real process, under -X importtime (-S
 # leaves site's imports out), and fails if hashlib or _hashlib appears.
+# A second run compares the six point routes that are not enumerators at
+# n = 100000 in Decimal, where decoupled's shared residue and genfun's
+# shared halving chain carry real weight.
 bench() {
   python -S -X importtime -m triwords bench --max-n 4000 --engines compsum,coupled,decoupled,closed,rootbasis,mod4,genfun \
     2> "$tmp/bench-imports" | tee "$tmp/bench"
-  awk 'NR > 1 { rows++; if (!($NF in seen)) { seen[$NF]; values++ } }
-       END { exit !(rows == 7 && values == 1) }' "$tmp/bench"
+  one_digest 7 "$tmp/bench"
   if grep -E '\| +_?hashlib$' "$tmp/bench-imports"; then exit 1; fi
+  python -m triwords bench --max-n 100000 --engines coupled,decoupled,genfun,closed,rootbasis,mod4 | tee "$tmp/bench-100000"
+  one_digest 6 "$tmp/bench-100000"
+}
+
+# A bench table ($2) has $1 rows after its header, all ending in one digest.
+one_digest() {
+  awk -v want="$1" 'NR > 1 { rows++; if (!($NF in seen)) { seen[$NF]; values++ } }
+       END { exit !(rows == want && values == 1) }' "$2"
 }
 
 # Each step in its own process, so a step's shell options stay its own; its
