@@ -26,7 +26,7 @@ import sys
 from decimal import Decimal, DecimalException, localcontext
 from typing import Iterator
 
-from .counting import ClassLabel, InternalError
+from .counting import ClassLabel, InternalError, require_nonnegative
 from .digits import EXACT, decimal_digits, write_decimal
 from .engines import (
     ALL_LABELS,
@@ -60,14 +60,15 @@ class UnknownSequence(ValueError):
 def _bfile_stream(sequence: str, max_n: int, offset: int = 1) -> Iterator[str]:
     """The "index value" lines of the b-file for one OEIS id, computed as read.
 
-    Values come from one pass of the class's decoupled recurrence, in
-    Decimal, so the lines must be read in digits.EXACT; the index runs from
-    `offset` (default 1, matching initial values that start at n = 1) to
-    max_n.  The checks run on the call, so a refused request raises before
-    any line is read.
+    Values come from the class's decoupled rows, point values at `offset`
+    and then the step, so an offset costs no rows below it; they are
+    Decimal, so the lines must be read in digits.EXACT.  The index runs
+    from `offset` (default 1, matching initial values that start at n = 1)
+    to max_n.  A refused request raises on the call, before any line is read.
     """
     if sequence not in OEIS_SEQUENCES:
         raise UnknownSequence(f"unknown sequence {sequence!r}; known: {', '.join(OEIS_SEQUENCES)}")
+    require_nonnegative(max_n, "max_n")
     if not 0 <= offset <= max_n:
         raise ValueError(f"offset must be in 0..max_n, got {offset}")
     label = OEIS_SEQUENCES[sequence]

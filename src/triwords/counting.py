@@ -16,9 +16,12 @@ Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from enum import Enum
 from math import comb
+from typing import Callable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 class InternalError(ValueError):
@@ -94,6 +97,19 @@ def require_nonnegative(n: int, name: str = "n") -> None:
     """Raise ValueError unless the index n, named name in the message, is nonnegative."""
     if n < 0:
         raise ValueError(f"{name} must be nonnegative, got {n}")
+
+
+def stepped(point: Callable[[int], T], order: int, step: Callable[[deque[T]], T], lo: int, hi: int) -> Iterator[T]:
+    """Items lo..hi of a recurrence: point(n) until a window holds `order` of them, then step(window).
+
+    The step must hold from n = order on, so that a run may start at any lo >= 0.
+    """
+    window = deque(map(point, range(lo, min(lo + order, hi + 1))), maxlen=order)
+    yield from window
+    for _ in range(lo + order, hi + 1):
+        x = step(window)
+        window.append(x)
+        yield x
 
 
 def trinomial(N: int, n1: int, n2: int, n3: int) -> int:

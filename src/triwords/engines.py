@@ -8,16 +8,17 @@ and two routes to the numbers.  The point route, `at`, gives one n and
 serves `compute` and `bench`; coupled, decoupled, quartic-c and genfun
 take O(log n) big products there, not a walk from n = 0.  The stream
 route, `rows`, gives n = lo..hi and serves `table`, `bfile` and
-`validate`; those four engines stream from n = 0, the rest map `at` over
-n.  Both routes give ints, or another number type `num`, such as `Decimal`,
-for a caller that only prints them.  Every engine but the enumerators
-computes in num from num seeds, so no computed int is converted; the
-enumerators count faster on ints, and their registry entries convert the
-counts to num.  The report, on ints, checks every engine's rows, and
-each streaming engine's point route at n <= 8 and at its last n, against
-the coupled reference, whose own point route it checks at the same n
-against the reference stream; then the 27^n total identity, the
-characteristic-polynomial factorisation and the identity suite.
+`validate`; those four engines take point values from lo until their
+step's window is full, then step, and the rest map `at` over n.  Both
+routes give ints, or another number type `num`, such as `Decimal`, for a
+caller that only prints them.  Every engine but the enumerators computes in num from num
+seeds, so no computed int is converted; the enumerators count faster on
+ints, and their registry entries convert the counts to num.  The report,
+on ints, checks every engine's rows, and each streaming engine's point
+route at n <= 8 and at its last n, against the coupled reference, whose
+own point route it checks at the same n against the reference stream;
+then the 27^n total identity, the characteristic-polynomial
+factorisation and the identity suite.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import sys
 import time
 from collections import namedtuple
-from itertools import chain, islice
+from itertools import chain
 from typing import Any, Callable, Iterator
 
 from . import _bind_on_first_use
@@ -38,8 +39,8 @@ __getattr__ = _bind_on_first_use(
     globals(),
     {
         "closedform": "case_mod4_at closed_form_at root_basis_at",
-        "genfun": "gf_at gf_for_class gf_stream",
-        "recurrence": "coupled_at coupled_stream decoupled_at decoupled_stream quartic_c quartic_c_stream",
+        "genfun": "gf_at gf_for_class gf_rows",
+        "recurrence": "coupled_at coupled_rows decoupled_at decoupled_rows quartic_c quartic_c_rows",
         "relations": "char_poly_check identity_suite",
     },
 )
@@ -58,17 +59,6 @@ class EngineDomainError(ValueError):
 # exactly, such as decimal.Decimal.
 Num = Callable[[int], Any]
 
-# An engine's rows: (labels, lo, hi, num=int) -> the values of those classes,
-# in label order and as num, for n = lo..hi.  Its point function, at,
-# (labels, n, num=int), gives those values at n.
-Rows = Callable[..., Iterator[tuple]]
-
-
-def _streamed(stream: Callable[[tuple[ClassLabel, ...], Num], Iterator[tuple]]) -> Rows:
-    """Rows of an engine that produces every index from n = 0: read one pass, seeded as num."""
-    return lambda labels, lo, hi, num=int: islice(stream(labels, num), lo, hi + 1)
-
-
 def _pick(v: ClassVector, labels: tuple[ClassLabel, ...]) -> tuple[int, ...]:
     if labels == ALL_LABELS:
         return v[1:]  # a plain tuple: the counts after n
@@ -78,9 +68,11 @@ def _pick(v: ClassVector, labels: tuple[ClassLabel, ...]) -> tuple[int, ...]:
 class EngineInfo(namedtuple("EngineInfo", "name min_n max_n labels at stream check_max_n", defaults=(None, None))):
     """An engine's domain, its classes from min_n to max_n (None: no cap), and its point route at.
 
-    stream is the engine's own stream route; without one, rows maps at over
-    n.  Validation stops at check_max_n even where the engine itself goes
-    further.
+    at(labels, n, num=int) gives the values of those classes at n, in label
+    order and as num, and rows(labels, lo, hi, num=int) gives them for n =
+    lo..hi.  stream is the engine's own rows route, its point values at lo
+    and then its step; without one, rows maps at over n.  Validation stops
+    at check_max_n even where the engine itself goes further.
     """
 
     __slots__ = ()
@@ -102,18 +94,17 @@ ENGINES: dict[str, EngineInfo] = {
         EngineInfo("compsum", 0, None, ALL_LABELS,
                    lambda labels, n, num=int: tuple(map(num, _pick(composition_sum(n), labels))), check_max_n=300),
         EngineInfo("coupled", 0, None, ALL_LABELS, lambda labels, n, num=int: _pick(_here.coupled_at(n, num), labels),
-                   _streamed(lambda labels, num: (_pick(v, labels) for v in _here.coupled_stream(num)))),
+                   lambda labels, lo, hi, num=int: (_pick(v, labels) for v in _here.coupled_rows(lo, hi, num))),
         EngineInfo("decoupled", 0, None, ALL_LABELS, lambda labels, n, num=int: _here.decoupled_at(labels, n, num),
-                   _streamed(lambda labels, num: zip(*(_here.decoupled_stream(label, num) for label in labels)))),
+                   lambda labels, lo, hi, num=int: _here.decoupled_rows(labels, lo, hi, num)),
         EngineInfo("quartic-c", 0, None, (ClassLabel.C,), lambda labels, n, num=int: (_here.quartic_c(n, num),),
-                   _streamed(lambda labels, num: zip(_here.quartic_c_stream(num)))),
+                   lambda labels, lo, hi, num=int: zip(_here.quartic_c_rows(lo, hi, num))),
         EngineInfo("closed", 1, None, ALL_LABELS, lambda labels, n, num=int: _here.closed_form_at(labels, n, num)),
         EngineInfo("rootbasis", 1, None, ALL_LABELS, lambda labels, n, num=int: _here.root_basis_at(labels, n, num)),
         EngineInfo("mod4", 1, None, ALL_LABELS, lambda labels, n, num=int: _here.case_mod4_at(labels, n, num)),
         EngineInfo("genfun", 0, None, ALL_LABELS,
                    lambda labels, n, num=int: _here.gf_at(tuple(map(_here.gf_for_class, labels)), n, num),
-                   _streamed(lambda labels, num: zip(*(_here.gf_stream(_here.gf_for_class(label), num)
-                                                       for label in labels)))),
+                   lambda labels, lo, hi, num=int: _here.gf_rows(tuple(map(_here.gf_for_class, labels)), lo, hi, num)),
     )
 }
 

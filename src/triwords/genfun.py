@@ -13,17 +13,18 @@ zeros.  Both factorings of the shared denominator expand, after sign
 normalisation, to 1 - 27x + 27x^2 - 729x^3, whose reversed coefficients
 are exactly the shared third-order recurrence; coefficient extraction
 from these functions is therefore a sixth independent compute engine:
-gf_stream reads coefficients in order, gf_at one n by Bostan-Mori halving,
-in one chain for each distinct denominator, which A, B and C share.
+gf_at gives one n by Bostan-Mori halving, in one chain for each distinct
+denominator, which A, B and C share, and gf_rows a run from any n, from
+gf_at's values there and then the denominator's recursion.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
-from itertools import count, islice
+from collections import namedtuple
+from operator import mul
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .counting import ClassLabel, InternalError, require_nonnegative
+from .counting import ClassLabel, InternalError, require_nonnegative, stepped
 
 #: Polynomial with integer coefficients, ascending, index = degree.
 IntPolynomial = tuple[int, ...]
@@ -99,33 +100,6 @@ def _unit_constant_term(gf: RationalGF) -> int:
     return q0
 
 
-def gf_stream(gf: RationalGF, num: Callable[[int], T] = int) -> Iterator[T]:
-    """Taylor coefficients c_0, c_1, c_2, ... of a rational generating function.
-
-    Uses the linear recursion q_0*c_n = p_n - sum_{j>=1} q_j*c_{n-j}; with
-    |q_0| = 1 every coefficient stays an exact integer.  The numerator
-    coefficients p_n are taken as num, so the c_n are of that type too.
-    """
-    q = gf.denominator
-    p = tuple(map(num, gf.numerator))
-    zero = num(0)
-    q0 = _unit_constant_term(gf)
-    recent: deque[T] = deque(maxlen=len(q) - 1)  # c_{n-1}, c_{n-2}, ...
-    for n in count():
-        acc = p[n] if n < len(p) else zero
-        for qj, cj in zip(q[1:], recent):
-            acc -= qj * cj
-        c = acc * q0  # dividing by +-1
-        recent.appendleft(c)
-        yield c
-
-
-def gf_coefficients(gf: RationalGF, N: int) -> list[int]:
-    """Taylor coefficients c_0..c_N of a rational generating function (see gf_stream)."""
-    require_nonnegative(N, "N")
-    return list(islice(gf_stream(gf), N + 1))
-
-
 def _half_product(p, q, parity: int, terms: int) -> IntPolynomial:
     """The first `terms` coefficients of x^parity, x^(parity + 2), ... in p(x)q(-x)."""
     q_minus = [-c if j % 2 else c for j, c in enumerate(q)]
@@ -158,3 +132,24 @@ def gf_at(gfs: Sequence[RationalGF], n: int, num: Callable[[int], T] = int) -> t
             ps, q = [_half_product(p, q, k % 2, terms) for p in ps], _half_product(q, q, 0, terms)
         coefficients.update((gf, p[0] * q[0] if p else num(0)) for gf, p in zip(group, ps))  # dividing by q_0 = +-1
     return tuple(map(coefficients.__getitem__, gfs))
+
+
+def gf_rows(gfs: Sequence[RationalGF], lo: int, hi: int, num: Callable[[int], T] = int) -> Iterator[tuple]:
+    """(c_n of each generating function P/Q) for n = lo..hi, as num: gf_at until past P, then the denominator.
+
+    Past P, q_0*c_n = -sum_{j>=1} q_j*c_{n-j}; with |q_0| = 1 every c_n stays an exact integer.
+    """
+    return zip(*(_gf_rows(gf, lo, hi, num) for gf in gfs))
+
+
+def _gf_rows(gf: RationalGF, lo: int, hi: int, num: Callable[[int], T]) -> Iterator[T]:
+    q, q0 = gf.denominator[1:], _unit_constant_term(gf)
+    order = max(len(q), len(gf.numerator))
+    # dividing by q0 = +-1, after negating the sum, so that a Decimal zero stays unsigned where q0 = 1
+    return stepped(lambda n: gf_at((gf,), n, num)[0], order, lambda w: -sum(map(mul, q, reversed(w))) * q0, lo, hi)
+
+
+def gf_coefficients(gf: RationalGF, N: int) -> list[int]:
+    """Taylor coefficients c_0..c_N of a rational generating function (see gf_rows)."""
+    require_nonnegative(N, "N")
+    return list(_gf_rows(gf, 0, N, int))

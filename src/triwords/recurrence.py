@@ -21,36 +21,35 @@ spurious (it cannot match the initial values), which is how the shared
 third-order recurrence is identified in the first place.
 
 This module writes each recurrence once, as its seed values and one step
-over a window of the latest values (DECOUPLED, QUARTIC_C); a single
-runner, _recurrence, iterates them all into streams from n = 0, for runs
-of rows.  Item n alone comes from a point route in O(log n) big products:
-recurrence_at reduces t^(n-1) modulo the characteristic polynomial
-(Fiduccia), which char_poly reads off the step, as char_poly_check does,
-and decoupled_at reduces it once for A, B and C; coupled_at powers
-the transition matrix.  That matrix commutes with the relabelling
-A -> B -> C -> A, so each of its powers is fixed by six entries, which
-coupled_at reads off it after checking the commutation; a squaring then
-takes 16 big products, not 64.  Streams and point routes
-alike take the number type of their seeds, `num`: int by default, or
-`decimal.Decimal` for output, whose text is linear time and whose large
-products use a number-theoretic transform (the caller then reads it in
-`digits.EXACT`).  Every route starts from num seeds and num constants,
-and mixes its values only with small ints, so no computed int is ever
-converted.  The relations that validate prints are stated here once, as
-plain text: C's factorisation (CHAR_POLY_RELATION) and every intermediate
-elimination identity (IDENTITY_RELATIONS).  `relations` reads and checks
-them, so only the command that checks a relation, validate, compiles the
-reader.
+over a window of the latest values (DECOUPLED, QUARTIC_C).  Item n alone
+comes from a point route in O(log n) big products: recurrence_at reduces
+t^(n-1) modulo the characteristic polynomial (Fiduccia), which char_poly
+reads off the step, as char_poly_check does, and decoupled_at reduces it
+once for A, B and C; coupled_at powers the transition matrix.  That
+matrix commutes with the relabelling A -> B -> C -> A, so each of its
+powers is fixed by six entries, which coupled_at reads off it after
+checking the commutation; a squaring then takes 16 big products, not
+64.  A run of rows from any lo (coupled_rows, decoupled_rows,
+quartic_c_rows) takes point values until the step's window is full, then
+steps, by the one runner counting.stepped, so only the point routes read
+the seeds.  Rows and point routes alike take the number type of their
+seeds, `num`: int by default, or `decimal.Decimal` for output, whose
+text is linear time and whose large products use a number-theoretic
+transform (the caller then reads it in `digits.EXACT`).  Every route
+starts from num seeds and num constants, and mixes its values only with
+small ints, so no computed int is ever converted.  The relations that
+validate prints are stated here once, as plain text: C's factorisation
+(CHAR_POLY_RELATION) and every intermediate elimination identity
+(IDENTITY_RELATIONS).  `relations` reads and checks them, so only the
+command that checks a relation, validate, compiles the reader.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import deque
-from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .counting import ClassLabel, ClassVector, InternalError, require_nonnegative
+from .counting import ClassLabel, ClassVector, InternalError, require_nonnegative, stepped
 
 T = TypeVar("T")
 
@@ -95,33 +94,6 @@ def coupled_step(v: ClassVector) -> ClassVector:
     """Advance the four class counts from index n to n + 1."""
     vals = v.as_tuple()
     return ClassVector(v.n + 1, *(sum(map(operator.mul, row, vals)) for row in TRANSITION_MATRIX))
-
-
-def _recurrence(seeds: Sequence[T], step: Callable[[deque[T]], T]) -> Iterator[T]:
-    """Yield the seeds, then step(window) forever; window holds the last len(seeds) values."""
-    yield from seeds
-    window = deque(seeds, maxlen=len(seeds))
-    while True:
-        x = step(window)
-        window.append(x)
-        yield x
-
-
-def coupled_stream(num: Callable[[int], T] = int) -> Iterator[ClassVector]:
-    """Class vectors for n = 0, 1, 2, ..., iterated from the seed (1, 0, 0, 0) as num."""
-    return _recurrence((ClassVector(0, *map(num, (1, 0, 0, 0))),), lambda w: coupled_step(w[-1]))
-
-
-def decoupled_stream(label: ClassLabel, num: Callable[[int], T] = int) -> Iterator[T]:
-    """C_label(n) for n = 0, 1, 2, ... by the class's own decoupled recurrence, seeded as num."""
-    seeds, step = DECOUPLED[label]
-    return _recurrence(tuple(map(num, seeds)), step)
-
-
-def quartic_c_stream(num: Callable[[int], T] = int) -> Iterator[T]:
-    """C_C(n) for n = 0, 1, 2, ... by the fourth-order recurrence, seeded as num."""
-    seeds, step = QUARTIC_C
-    return _recurrence(tuple(map(num, seeds)), step)
 
 
 # A matrix over the classes (A, B, C, D) that commutes with A -> B -> C -> A
@@ -234,10 +206,31 @@ def decoupled_at(labels: Sequence[ClassLabel], n: int, num: Callable[[int], T] =
     return _recurrences_at([DECOUPLED[label] for label in labels], n, num)
 
 
+def coupled_rows(lo: int, hi: int, num: Callable[[int], T] = int) -> Iterator[ClassVector]:
+    """Class vectors for n = lo..hi, as num: coupled_at(lo), then the coupled step."""
+    return stepped(lambda n: coupled_at(n, num), 1, lambda w: coupled_step(w[-1]), lo, hi)
+
+
+def decoupled_rows(labels: Sequence[ClassLabel], lo: int, hi: int, num: Callable[[int], T] = int) -> Iterator[tuple]:
+    """(C_label(n) for each label) for n = lo..hi, as num: each class's recurrence from its own point values."""
+    return zip(*(_rows(DECOUPLED[label], lo, hi, num) for label in labels))
+
+
+def quartic_c_rows(lo: int, hi: int, num: Callable[[int], T] = int) -> Iterator[T]:
+    """C_C(n) for n = lo..hi by the fourth-order recurrence, as num."""
+    return _rows(QUARTIC_C, lo, hi, num)
+
+
+def _rows(recurrence: Recurrence, lo: int, hi: int, num: Callable[[int], T]) -> Iterator[T]:
+    """Items lo..hi of the recurrence (seeds, step), as num: len(seeds) point values, then the step."""
+    seeds, step = recurrence
+    return stepped(lambda n: recurrence_at(seeds, step, n, num), len(seeds), step, lo, hi)
+
+
 def coupled_sequence(N: int) -> list[ClassVector]:
-    """Class vectors for n = 0..N, iterated from the seed (1, 0, 0, 0)."""
+    """Class vectors for n = 0..N, stepped from the seed (1, 0, 0, 0)."""
     require_nonnegative(N, "N")
-    return list(islice(coupled_stream(), N + 1))
+    return list(coupled_rows(0, N))
 
 
 def decoupled_third_order(label: ClassLabel, n: int) -> int:
@@ -253,7 +246,7 @@ def decoupled_d(n: int) -> int:
 
 
 def quartic_c(n: int, num: Callable[[int], T] = int) -> T:
-    """Class count for C via its fourth-order recurrence (see quartic_c_stream), as num."""
+    """Class count for C via its fourth-order recurrence (see QUARTIC_C), as num."""
     return recurrence_at(*QUARTIC_C, n, num)
 
 

@@ -111,6 +111,19 @@ class TestCompute:
         assert out == ""
         assert err.startswith("internal error: ")
 
+    @pytest.mark.parametrize(
+        "fmt, header", [("csv", "n,C_A,C_B,C_C,C_D,total\n"), ("table", "")], ids=["csv", "aligned"]
+    )
+    def test_transition_matrix_without_the_symmetry_stops_a_table(self, capsys, monkeypatch, fmt, header):
+        # rows start from coupled_at, which checks the matrix, so none is stepped by the broken one
+        # (row 3 would have D = 13032, not 13122)
+        bad = (*recurrence.TRANSITION_MATRIX[:3], (18, 18, 17, 18))
+        monkeypatch.setattr(recurrence, "TRANSITION_MATRIX", bad)
+        code, out, err = run_cli(capsys, "table", "--max-n", "4", "--engine", "coupled", "--format", fmt)
+        assert code == 3
+        assert out == header
+        assert err.startswith("internal error: ")
+
     def test_non_unit_generating_function_is_internal_error(self, capsys, monkeypatch):
         from triwords.genfun import RationalGF
 
@@ -471,6 +484,13 @@ class TestBfile:
         assert bfile_lines("A391468", 0, 0) == ["0 1"]
         assert run_cli(capsys, "bfile", "A391468", "--max-n", "0", "--offset", "0") == (0, "0 1\n", "")
 
+    @pytest.mark.parametrize("offset", [[], ["--offset", "0"]], ids=["default-offset", "offset-0"])
+    def test_negative_max_n_is_named_before_the_offset(self, capsys, offset):
+        code, out, err = run_cli(capsys, "bfile", "A391468", "--max-n", "-1", *offset)
+        assert (code, out) == (2, "")
+        assert err == "error: max_n must be nonnegative, got -1\n"
+        assert run_cli(capsys, "table", "--max-n", "-1") == (2, "", err)
+
     @pytest.mark.parametrize("offset", [-1, 6])
     def test_offset_outside_0_to_max_n_rejected(self, capsys, offset):
         with pytest.raises(ValueError, match=f"^offset must be in 0..max_n, got {offset}$"):
@@ -769,10 +789,8 @@ def test_exports_are_their_home_modules_objects():
     # engines binds the functions it takes from the engine modules the same way
     engine_functions = {
         "closedform": ["case_mod4_at", "closed_form_at", "root_basis_at"],
-        "genfun": ["gf_at", "gf_for_class", "gf_stream"],
-        "recurrence": [
-            "coupled_at", "coupled_stream", "decoupled_at", "decoupled_stream", "quartic_c", "quartic_c_stream",
-        ],
+        "genfun": ["gf_at", "gf_for_class", "gf_rows"],
+        "recurrence": ["coupled_at", "coupled_rows", "decoupled_at", "decoupled_rows", "quartic_c", "quartic_c_rows"],
         "relations": ["char_poly_check", "identity_suite"],
     }
     engines = importlib.import_module("triwords.engines")

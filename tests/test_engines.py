@@ -27,7 +27,7 @@ from triwords.engines import (
     series,
 )
 from triwords.genfun import gf_at, gf_for_class
-from triwords.recurrence import coupled_at, quartic_c_stream
+from triwords.recurrence import coupled_at, quartic_c_rows
 from triwords.ring import AlgebraicQ3i
 from truth_table import TRUTH
 
@@ -116,7 +116,7 @@ class TestDecimalSeries:
             want = [(v.n, *map(str, (*v.as_tuple(), v.total))) for v in compute_series(engine, max_n)]
             assert got == want, engine
         with localcontext(EXACT):
-            got = list(map(str, islice(quartic_c_stream(Decimal), max_n + 1)))
+            got = list(map(str, quartic_c_rows(0, max_n, Decimal)))
         assert got == [str(v.c) for v in compute_series("decoupled", max_n)]
 
 
@@ -135,12 +135,31 @@ class TestMemory:
 POINT_ROUTE_ENGINES = ("coupled", "decoupled", "quartic-c", "genfun")
 
 
+class TestSeek:
+    @pytest.mark.parametrize("engine", ENGINE_IDS)
+    @given(num=st.sampled_from([int, Decimal]), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_rows_from_lo_are_the_rows_from_min_n(self, engine, num, data):
+        # the one test of a window filled at lo > min_n: the stepping engines fill it from their point route
+        info = engines.ENGINES[engine]
+        cap = {"brute": info.max_n, "compsum": 100}.get(engine, 3000)
+        hi = data.draw(st.integers(min_value=info.min_n, max_value=cap), label="hi")
+        lo = data.draw(st.integers(min_value=info.min_n, max_value=hi), label="lo")
+        labels = tuple(data.draw(st.lists(st.sampled_from(info.labels), min_size=1, max_size=4), label="labels"))
+        with localcontext(EXACT):
+            got = list(info.rows(labels, lo, hi, num))
+            want = list(islice(info.rows(labels, info.min_n, hi, num), lo - info.min_n, None))
+        assert got == want
+        assert all(type(v) is num for row in got for v in row)
+
+
 class TestPointRoutes:
     @given(st.sampled_from(POINT_ROUTE_ENGINES), st.integers(min_value=0, max_value=2000))
     @settings(max_examples=40, deadline=None)
     def test_point_route_matches_stream(self, engine, n):
+        # the row at n stepped from min_n, not a window filled at n, which would be the point route itself
         info = engines.ENGINES[engine]
-        assert info.at(info.labels, n) == next(info.stream(info.labels, n, n))
+        assert info.at(info.labels, n) == next(islice(info.rows(info.labels, info.min_n, n), n - info.min_n, None))
 
     @pytest.mark.parametrize("n", [10_000, 30_000])
     @pytest.mark.parametrize("engine", POINT_ROUTE_ENGINES)
@@ -153,8 +172,8 @@ class TestPointRoutes:
         def walked(*args):
             raise AssertionError("a point request walked a stream")
 
-        for stream in ("coupled_stream", "decoupled_stream", "quartic_c_stream", "gf_stream"):
-            monkeypatch.setattr(engines, stream, walked)
+        for rows in ("coupled_rows", "decoupled_rows", "quartic_c_rows", "gf_rows"):
+            monkeypatch.setattr(engines, rows, walked)
         for engine in POINT_ROUTE_ENGINES:
             labels = engines.ENGINES[engine].labels
             for n in range(9):
@@ -217,13 +236,13 @@ class TestValidation:
         assert result.detail == f"point route mismatch at n=40 class B: {brief(want + 1)} != {brief(want)}"
 
     def test_sum_identity_names_the_first_wrong_total(self, monkeypatch):
-        # the reference stream with D one too large at n = 7 alone
-        real = engines.coupled_stream
+        # the reference rows with D one too large at n = 7 alone
+        real = engines.coupled_rows
 
-        def corrupted(*num):
-            return (v._replace(d=v.d + 1) if v.n == 7 else v for v in real(*num))
+        def corrupted(*args):
+            return (v._replace(d=v.d + 1) if v.n == 7 else v for v in real(*args))
 
-        monkeypatch.setattr(engines, "coupled_stream", corrupted)
+        monkeypatch.setattr(engines, "coupled_rows", corrupted)
         (result,) = [r for r in run_validation(10) if r.name == "sum-identity"]
         assert result == ("sum-identity", False, "total at n=7 is not 27^7")
 

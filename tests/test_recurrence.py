@@ -12,20 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triwords import engines, recurrence
-from triwords.counting import ClassLabel, ClassVector, InternalError, composition_sum
+from triwords.counting import ClassLabel, ClassVector, InternalError, composition_sum, stepped
 from triwords.digits import EXACT
 from triwords.recurrence import (
     DECOUPLED,
     QUARTIC_C,
     TRANSITION_MATRIX,
     NotRelabellingInvariant,
-    _recurrence,
     _six_mul,
     char_poly,
     coupled_at,
     coupled_sequence,
     coupled_step,
-    coupled_stream,
+    coupled_rows,
     decoupled_at,
     decoupled_d,
     decoupled_third_order,
@@ -101,7 +100,7 @@ class TestSixEntryForm:
     def test_any_invariant_matrix_powers_like_its_stream(self, six, n):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recurrence, "TRANSITION_MATRIX", _full(six))
-            assert coupled_at(n) == next(islice(coupled_stream(), n, None))
+            assert coupled_at(n) == next(islice(coupled_rows(0, n), n, None))
 
     @pytest.mark.parametrize(
         "i, j", [(1, 1), (2, 0), (0, 3), (2, 3), (3, 1), (3, 2)],
@@ -386,7 +385,7 @@ class TestCharPolyFromStep:
             return -sum(p * w[k - d] for k, p in enumerate(low))
 
         assert char_poly(seeds, step) == (*low, 1)
-        want = list(islice(_recurrence(seeds, step), 301))
+        want = list(stepped(seeds.__getitem__, len(seeds), step, 0, 300))
         assert [recurrence_at(seeds, step, n) for n in range(301)] == want
 
 

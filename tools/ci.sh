@@ -3,7 +3,7 @@
 # order: the workflow runs `bash tools/ci.sh install`, then `bash tools/ci.sh
 # all`, which runs every step of STEPS.  `bash tools/ci.sh <step> [args]`
 # runs one step.  The script sets each step's int-to-str cap, and
-# point_1000000 its time limit, whatever the caller's environment.  Run it
+# point_1000000 and bfile_seek their time limits, whatever the caller's environment.  Run it
 # from the repository root, with the package importable (the workflow sets
 # PYTHONPATH=src; so does this script when PYTHONPATH is unset).
 set -eo pipefail
@@ -30,6 +30,7 @@ STEPS=(
   tables
   point_100000
   point_1000000
+  bfile_seek
   enumerators
   bench
 )
@@ -112,6 +113,19 @@ with localcontext(EXACT):
     python -m triwords compute --class A --n 1000000 --engine "$engine" > "$tmp/million-$engine"
     cmp "$tmp/million-mod4" "$tmp/million-$engine"
   done
+}
+
+# A b-file from an offset takes the class's point values there and then
+# steps, so its one row at n = 10^6 costs about one point value; a b-file
+# that walked the rows below its offset would take far past the time limit.
+bfile_seek() {
+  timeout 5m bash "$0" _bfile_seek
+}
+
+_bfile_seek() {
+  python -m triwords bfile A391470 --offset 1000000 --max-n 1000000 > "$tmp/seek-bfile"
+  { printf '1000000 '; python -m triwords compute --class C --n 1000000 --engine mod4; } > "$tmp/seek-mod4"
+  cmp "$tmp/seek-mod4" "$tmp/seek-bfile"
 }
 
 # brute and compsum enumerate on ints, and the registry converts their values
