@@ -135,21 +135,23 @@ def gf_at(gfs: Sequence[RationalGF], n: int, num: Callable[[int], T] = int) -> t
 
 
 def gf_rows(gfs: Sequence[RationalGF], lo: int, hi: int, num: Callable[[int], T] = int) -> Iterator[tuple]:
-    """(c_n of each generating function P/Q) for n = lo..hi, as num: gf_at until past P, then the denominator.
+    """(c_n of each generating function P/Q) for n = lo..hi, as num: gf_at until past every P, then each denominator.
 
     Past P, q_0*c_n = -sum_{j>=1} q_j*c_{n-j}; with |q_0| = 1 every c_n stays an exact integer.
     """
-    return zip(*(_gf_rows(gf, lo, hi, num) for gf in gfs))
+    steps = [_denominator_step(gf) for gf in gfs]
+    order = max(max(len(gf.denominator) - 1, len(gf.numerator)) for gf in gfs)
+    return stepped(lambda n: gf_at(gfs, n, num), order,
+                   lambda w: tuple(step(col) for step, col in zip(steps, zip(*w))), lo, hi)
 
 
-def _gf_rows(gf: RationalGF, lo: int, hi: int, num: Callable[[int], T]) -> Iterator[T]:
+def _denominator_step(gf: RationalGF) -> Callable[[Sequence[T]], T]:
     q, q0 = gf.denominator[1:], _unit_constant_term(gf)
-    order = max(len(q), len(gf.numerator))
     # dividing by q0 = +-1, after negating the sum, so that a Decimal zero stays unsigned where q0 = 1
-    return stepped(lambda n: gf_at((gf,), n, num)[0], order, lambda w: -sum(map(mul, q, reversed(w))) * q0, lo, hi)
+    return lambda w: -sum(map(mul, q, reversed(w))) * q0
 
 
 def gf_coefficients(gf: RationalGF, N: int) -> list[int]:
     """Taylor coefficients c_0..c_N of a rational generating function (see gf_rows)."""
     require_nonnegative(N, "N")
-    return list(_gf_rows(gf, 0, N, int))
+    return [c for c, in gf_rows((gf,), 0, N)]

@@ -212,19 +212,17 @@ def coupled_rows(lo: int, hi: int, num: Callable[[int], T] = int) -> Iterator[Cl
 
 
 def decoupled_rows(labels: Sequence[ClassLabel], lo: int, hi: int, num: Callable[[int], T] = int) -> Iterator[tuple]:
-    """(C_label(n) for each label) for n = lo..hi, as num: each class's recurrence from its own point values."""
-    return zip(*(_rows(DECOUPLED[label], lo, hi, num) for label in labels))
+    """(C_label(n) for each label) for n = lo..hi, as num: decoupled_at until the widest window is full, then each class's step."""
+    steps = [DECOUPLED[label][1] for label in labels]
+    order = max(len(DECOUPLED[label][0]) for label in labels)
+    return stepped(lambda n: decoupled_at(labels, n, num), order,
+                   lambda w: tuple(step(col) for step, col in zip(steps, zip(*w))), lo, hi)
 
 
 def quartic_c_rows(lo: int, hi: int, num: Callable[[int], T] = int) -> Iterator[T]:
-    """C_C(n) for n = lo..hi by the fourth-order recurrence, as num."""
-    return _rows(QUARTIC_C, lo, hi, num)
-
-
-def _rows(recurrence: Recurrence, lo: int, hi: int, num: Callable[[int], T]) -> Iterator[T]:
-    """Items lo..hi of the recurrence (seeds, step), as num: len(seeds) point values, then the step."""
-    seeds, step = recurrence
-    return stepped(lambda n: recurrence_at(seeds, step, n, num), len(seeds), step, lo, hi)
+    """C_C(n) for n = lo..hi by the fourth-order recurrence, as num: quartic_c until its window is full, then its step."""
+    seeds, step = QUARTIC_C
+    return stepped(lambda n: quartic_c(n, num), len(seeds), step, lo, hi)
 
 
 def coupled_sequence(N: int) -> list[ClassVector]:

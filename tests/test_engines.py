@@ -157,9 +157,16 @@ class TestPointRoutes:
     @given(st.sampled_from(POINT_ROUTE_ENGINES), st.integers(min_value=0, max_value=2000))
     @settings(max_examples=40, deadline=None)
     def test_point_route_matches_stream(self, engine, n):
-        # the row at n stepped from min_n, not a window filled at n, which would be the point route itself
+        # the row at n stepped from min_n, not a window filled at n, which would be the point route itself;
+        # below the window's order that row is a point value too, so the next test checks those n
         info = engines.ENGINES[engine]
         assert info.at(info.labels, n) == next(islice(info.rows(info.labels, info.min_n, n), n - info.min_n, None))
+
+    @pytest.mark.parametrize("engine", POINT_ROUTE_ENGINES)
+    def test_point_route_below_the_window_matches_truth_table(self, engine):
+        info = engines.ENGINES[engine]
+        for n in range(len(TRUTH)):
+            assert info.at(info.labels, n) == tuple(TRUTH[n][list(ClassLabel).index(label)] for label in info.labels)
 
     @pytest.mark.parametrize("n", [10_000, 30_000])
     @pytest.mark.parametrize("engine", POINT_ROUTE_ENGINES)
