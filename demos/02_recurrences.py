@@ -52,6 +52,6 @@ print(f"  residual at n=5: {residual_at_5}")
 print()
 
 print("Every elimination identity used in the decoupling, checked numerically to n = 30:")
-report = identity_suite(30, strict=False)
+report = identity_suite(30)
 print(report)
 assert report.all_pass

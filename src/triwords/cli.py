@@ -24,6 +24,7 @@ import argparse
 import os
 import sys
 from decimal import Decimal, DecimalException, localcontext
+from itertools import chain
 from typing import Iterator
 
 from .counting import ClassLabel, InternalError, require_nonnegative
@@ -35,7 +36,6 @@ from .engines import (
     bench_engine,
     check_domain,
     compute_value,
-    run_validation,
     series,
 )
 
@@ -89,8 +89,10 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    # series() refuses a bad request on the call, before any output.
+    # series() refuses a bad request on the call, and row 0, always there, is
+    # taken here, so an engine that fails at once prints no part of a document.
     rows = ((v.n, v.a, v.b, v.c, v.d, v.total) for v in series(args.engine, args.max_n, Decimal))
+    rows = chain([next(rows)], rows)
     if args.format == "csv":
         # Every cell is digits, so no csv quoting ever applies.
         print(",".join(TABLE_HEADER))
@@ -124,6 +126,8 @@ def _cmd_bfile(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .relations import run_validation  # only validate loads the checks, and the parser they read texts with
+
     results = sorted(run_validation(args.max_n), key=lambda r: r.name)
     failures = 0
     for r in results:

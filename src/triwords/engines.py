@@ -1,4 +1,4 @@
-"""Uniform access to the compute engines, plus the cross-validation checks.
+"""Uniform access to the compute engines.
 
 Every engine computes the same four integer sequences by a different
 route, so any disagreement, down to a single bit, is a bug in one of
@@ -13,12 +13,7 @@ step's window is full, then step, and the rest map `at` over n.  Both
 routes give ints, or another number type `num`, such as `Decimal`, for a
 caller that only prints them.  Every engine but the enumerators computes in num from num
 seeds, so no computed int is converted; the enumerators count faster on
-ints, and their registry entries convert the counts to num.  The report,
-on ints, checks every engine's rows, and each streaming engine's point
-route at n <= 8 and at its last n, against the coupled reference, whose
-own point route it checks at the same n against the reference stream;
-then the 27^n total identity, the characteristic-polynomial
-factorisation and the identity suite.
+ints, and their registry entries convert the counts to num.
 """
 
 from __future__ import annotations
@@ -26,12 +21,10 @@ from __future__ import annotations
 import sys
 import time
 from collections import namedtuple
-from itertools import chain
 from typing import Any, Callable, Iterator
 
 from . import _bind_on_first_use
 from .counting import BRUTE_FORCE_MAX_N, ClassLabel, ClassVector, brute_force_words, composition_sum
-from .digits import brief
 
 # The functions this module takes from each engine module.  Each binds on
 # first use, so a command imports only its own engine's module.
@@ -41,7 +34,6 @@ __getattr__ = _bind_on_first_use(
         "closedform": "case_mod4_at closed_form_at root_basis_at",
         "genfun": "gf_at gf_for_class gf_rows",
         "recurrence": "coupled_at coupled_rows decoupled_at decoupled_rows quartic_c quartic_c_rows",
-        "relations": "char_poly_check identity_suite",
     },
 )
 
@@ -65,14 +57,13 @@ def _pick(v: ClassVector, labels: tuple[ClassLabel, ...]) -> tuple[int, ...]:
     return tuple(map(v.component, labels))
 
 
-class EngineInfo(namedtuple("EngineInfo", "name min_n max_n labels at stream check_max_n", defaults=(None, None))):
+class EngineInfo(namedtuple("EngineInfo", "name min_n max_n labels at stream", defaults=(None,))):
     """An engine's domain, its classes from min_n to max_n (None: no cap), and its point route at.
 
     at(labels, n, num=int) gives the values of those classes at n, in label
     order and as num, and rows(labels, lo, hi, num=int) gives them for n =
     lo..hi.  stream is the engine's own rows route, its point values at lo
-    and then its step; without one, rows maps at over n.  Validation stops
-    at check_max_n even where the engine itself goes further.
+    and then its step; without one, rows maps at over n.
     """
 
     __slots__ = ()
@@ -92,7 +83,7 @@ ENGINES: dict[str, EngineInfo] = {
         EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS,
                    lambda labels, n, num=int: tuple(map(num, _pick(brute_force_words(n), labels)))),
         EngineInfo("compsum", 0, None, ALL_LABELS,
-                   lambda labels, n, num=int: tuple(map(num, _pick(composition_sum(n), labels))), check_max_n=300),
+                   lambda labels, n, num=int: tuple(map(num, _pick(composition_sum(n), labels)))),
         EngineInfo("coupled", 0, None, ALL_LABELS, lambda labels, n, num=int: _pick(_here.coupled_at(n, num), labels),
                    lambda labels, lo, hi, num=int: (_pick(v, labels) for v in _here.coupled_rows(lo, hi, num))),
         EngineInfo("decoupled", 0, None, ALL_LABELS, lambda labels, n, num=int: _here.decoupled_at(labels, n, num),
@@ -109,7 +100,6 @@ ENGINES: dict[str, EngineInfo] = {
 }
 
 ENGINE_IDS = tuple(ENGINES)
-REFERENCE_ENGINE = "coupled"
 
 
 def check_domain(engine: str, n: int, label: ClassLabel | None = None) -> EngineInfo:
@@ -156,74 +146,6 @@ def series(engine: str, max_n: int, num: Num = int) -> Iterator[ClassVector]:
 def compute_series(engine: str, max_n: int) -> list[ClassVector]:
     """Class vectors for n = 0..max_n, as a list; see series."""
     return list(series(engine, max_n))
-
-
-CheckResult = namedtuple("CheckResult", "name passed detail")
-
-
-def _agreement(
-    name: str, reference: list[ClassVector], info: EngineInfo, lo: int, hi: int, rows: bool = True
-) -> CheckResult:
-    """Compare an engine's rows on [lo, hi], and a streaming one's point route at n <= 8 and at hi, with a reference.
-
-    Without rows only the point route is compared: the reference engine's, against its own stream.
-    """
-    last = min(hi, 8)
-    checks = points = (("point route ", n, info.at(info.labels, n)) for n in (*range(lo, last + 1), hi))
-    if rows:
-        checks = (("", n, row) for n, row in enumerate(info.rows(info.labels, lo, hi), lo))
-        if info.stream is not None:
-            checks = chain(checks, points)
-    for route, n, row in checks:
-        want = _pick(reference[n], info.labels)
-        if row != want:
-            label, got, expected = next(t for t in zip(info.labels, row, want) if t[1] != t[2])
-            detail = f"{route}mismatch at n={n} class {label.value}: {brief(got)} != {brief(expected)}"
-            return CheckResult(name, False, detail)
-    if rows or hi == last:
-        return CheckResult(name, True, f"n = {lo}..{hi}")
-    return CheckResult(name, True, f"n = {lo}..{last} and {hi}")
-
-
-def run_validation(max_n: int) -> list[CheckResult]:
-    """All cross-engine, identity and structural checks up to max_n."""
-    if max_n < 4:
-        raise ValueError(f"validation needs max_n >= 4, got {max_n}")
-    reference = compute_series(REFERENCE_ENGINE, max_n)
-    results = []
-
-    for info in ENGINES.values():
-        hi = min(cap for cap in (max_n, info.max_n, info.check_max_n) if cap is not None)
-        if info.name == REFERENCE_ENGINE:  # its rows are the reference, so only its point route is checked
-            name, rows = f"engine/{info.name}-point-vs-stream", False
-        else:
-            name, rows = f"engine/{info.name}-vs-{REFERENCE_ENGINE}", True
-        results.append(_agreement(name, reference, info, info.min_n, hi, rows))
-
-    power = 1
-    v4 = reference[4]
-    sum_result = CheckResult(
-        "sum-identity",
-        True,
-        f"A+B+C+D = 27^n for n = 0..{max_n}; n=4: {v4.a}+{v4.b}+{v4.c}+{v4.d} = {v4.total} = 3^12",
-    )
-    for n in range(max_n + 1):
-        if reference[n].total != power:
-            sum_result = CheckResult("sum-identity", False, f"total at n={n} is not 27^{n}")
-            break
-        power *= 27
-    results.append(sum_result)
-
-    from .recurrence import CHAR_POLY_RELATION as relation  # the text the check reads
-
-    results.append(CheckResult("char-poly-factorization", _here.char_poly_check(), relation))
-
-    report = _here.identity_suite(max_n, sequence=reference, strict=False)
-    for r in report.results:
-        detail = f"{r.relation} ({r.checked} indices)" if r.passed else f"{r.relation}; fails at n={r.first_failure}"
-        results.append(CheckResult(f"identity/{r.name}", r.passed, detail))
-
-    return results
 
 
 def bench_engine(engine: str, n: int, num: Num = int) -> tuple[float, dict[ClassLabel, Any]]:

@@ -1,4 +1,10 @@
-"""Reading and checking the relation texts that validate prints.
+"""The checks that validate prints, and the reader of the relation texts they check.
+
+The report, on ints, checks every engine's rows, and each streaming
+engine's point route at n <= 8 and at its last n, against the coupled
+reference, whose own point route it checks at the same n against the
+reference stream; then the 27^n total identity, the
+characteristic-polynomial factorisation and the identity suite.
 
 `recurrence` states C's factorisation (CHAR_POLY_RELATION) and each
 elimination identity (IDENTITY_RELATIONS) once, as text.  One reader, _read,
@@ -16,21 +22,13 @@ import ast
 import re
 from collections import namedtuple
 from functools import reduce
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from . import recurrence
 from .counting import ClassLabel, ClassVector, InternalError
 from .digits import brief
-
-
-class IdentityViolation(Exception):
-    """An elimination identity failed numerically at some index."""
-
-    def __init__(self, name: str, n: int, residual: int):
-        self.name = name
-        self.n = n
-        self.residual = residual
-        super().__init__(f"identity {name!r} fails at n = {n} (residual {brief(residual)})")
+from .engines import ENGINES, EngineInfo, compute_series
 
 
 # Relation texts are read as data, never run.  _read parses a text with the
@@ -170,13 +168,11 @@ class IdentityReport(namedtuple("IdentityReport", "results")):
         return "\n".join(lines)
 
 
-def identity_suite(N: int, sequence: Sequence[ClassVector] | None = None, strict: bool = True) -> IdentityReport:
+def identity_suite(N: int, sequence: Sequence[ClassVector] | None = None) -> IdentityReport:
     """Check every elimination identity on the sequence up to index N.
 
-    With the default strict=True the first failing identity raises
-    IdentityViolation (naming identity and index); with strict=False the
-    full report is returned with failures recorded, which is what the
-    validate command prints.  A sequence can be injected to test that
+    The report records each identity's checked indices and its first
+    failing index, if any.  A sequence can be injected to test that
     corrupted data is caught.
     """
     if N < 4:
@@ -188,11 +184,77 @@ def identity_suite(N: int, sequence: Sequence[ClassVector] | None = None, strict
         checked = 0
         for n in range(first_valid, N - lookahead + 1):
             checked += 1
-            r = residual(seq, n)
-            if r:
-                if strict:
-                    raise IdentityViolation(name, n, r)
+            if residual(seq, n):
                 first_failure = n
                 break
         results.append(IdentityResult(name, relation, checked, first_failure))
     return IdentityReport(tuple(results))
+
+
+CheckResult = namedtuple("CheckResult", "name passed detail")
+
+REFERENCE_ENGINE = "coupled"
+# Validation stops at these indices even where the engine itself goes further.
+CHECK_MAX_N = {"compsum": 300}
+
+
+def _agreement(
+    name: str, reference: list[ClassVector], info: EngineInfo, lo: int, hi: int, rows: bool = True
+) -> CheckResult:
+    """Compare an engine's rows on [lo, hi], and a streaming one's point route at n <= 8 and at hi, with a reference.
+
+    Without rows only the point route is compared: the reference engine's, against its own stream.
+    """
+    last = min(hi, 8)
+    checks = points = (("point route ", n, info.at(info.labels, n)) for n in (*range(lo, last + 1), hi))
+    if rows:
+        checks = (("", n, row) for n, row in enumerate(info.rows(info.labels, lo, hi), lo))
+        if info.stream is not None:
+            checks = chain(checks, points)
+    for route, n, row in checks:
+        want = tuple(map(reference[n].component, info.labels))
+        if row != want:
+            label, got, expected = next(t for t in zip(info.labels, row, want) if t[1] != t[2])
+            detail = f"{route}mismatch at n={n} class {label.value}: {brief(got)} != {brief(expected)}"
+            return CheckResult(name, False, detail)
+    if rows or hi == last:
+        return CheckResult(name, True, f"n = {lo}..{hi}")
+    return CheckResult(name, True, f"n = {lo}..{last} and {hi}")
+
+
+def run_validation(max_n: int) -> list[CheckResult]:
+    """All cross-engine, identity and structural checks up to max_n."""
+    if max_n < 4:
+        raise ValueError(f"validation needs max_n >= 4, got {max_n}")
+    reference = compute_series(REFERENCE_ENGINE, max_n)
+    results = []
+
+    for info in ENGINES.values():
+        hi = min(cap for cap in (max_n, info.max_n, CHECK_MAX_N.get(info.name)) if cap is not None)
+        if info.name == REFERENCE_ENGINE:  # its rows are the reference, so only its point route is checked
+            name, rows = f"engine/{info.name}-point-vs-stream", False
+        else:
+            name, rows = f"engine/{info.name}-vs-{REFERENCE_ENGINE}", True
+        results.append(_agreement(name, reference, info, info.min_n, hi, rows))
+
+    power = 1
+    v4 = reference[4]
+    sum_result = CheckResult(
+        "sum-identity",
+        True,
+        f"A+B+C+D = 27^n for n = 0..{max_n}; n=4: {v4.a}+{v4.b}+{v4.c}+{v4.d} = {v4.total} = 3^12",
+    )
+    for n in range(max_n + 1):
+        if reference[n].total != power:
+            sum_result = CheckResult("sum-identity", False, f"total at n={n} is not 27^{n}")
+            break
+        power *= 27
+    results.append(sum_result)
+
+    results.append(CheckResult("char-poly-factorization", char_poly_check(), recurrence.CHAR_POLY_RELATION))
+
+    for r in identity_suite(max_n, sequence=reference).results:
+        detail = f"{r.relation} ({r.checked} indices)" if r.passed else f"{r.relation}; fails at n={r.first_failure}"
+        results.append(CheckResult(f"identity/{r.name}", r.passed, detail))
+
+    return results

@@ -108,7 +108,7 @@ def test_criterion_4_sum_identity():
 
 def test_criterion_5_identity_suite():
     with _Budget(5, "elimination identities to n = 200 and char poly", 10.0):
-        report = identity_suite(200, strict=False)
+        report = identity_suite(200)
         assert report.all_pass, str(report)
         assert len(report.results) == 9
         assert char_poly_check()

@@ -23,11 +23,11 @@ from triwords.engines import (
     bench_engine,
     compute_series,
     compute_value,
-    run_validation,
     series,
 )
 from triwords.genfun import gf_at, gf_for_class
 from triwords.recurrence import coupled_at, quartic_c_rows
+from triwords.relations import run_validation
 from triwords.ring import AlgebraicQ3i
 from truth_table import TRUTH
 
@@ -263,6 +263,20 @@ class TestValidation:
         assert "char-poly-factorization" in names
         assert sum(name.startswith("engine/") for name in names) == 9
         assert sum(name.startswith("identity/") for name in names) == 9
+
+    def test_each_engine_is_checked_over_its_own_range_past_compsums_cap(self):
+        details = {r.name: r.detail for r in run_validation(301) if r.name.startswith("engine/")}
+        assert details == {
+            "engine/brute-vs-coupled": "n = 0..5",
+            "engine/compsum-vs-coupled": "n = 0..300",
+            "engine/coupled-point-vs-stream": "n = 0..8 and 301",
+            "engine/decoupled-vs-coupled": "n = 0..301",
+            "engine/quartic-c-vs-coupled": "n = 0..301",
+            "engine/closed-vs-coupled": "n = 1..301",
+            "engine/rootbasis-vs-coupled": "n = 1..301",
+            "engine/mod4-vs-coupled": "n = 1..301",
+            "engine/genfun-vs-coupled": "n = 0..301",
+        }
 
     def test_minimum_max_n(self):
         with pytest.raises(ValueError):

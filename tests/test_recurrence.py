@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triwords import engines, recurrence
+from triwords import recurrence
 from triwords.counting import ClassLabel, ClassVector, InternalError, composition_sum, stepped
 from triwords.digits import EXACT
 from triwords.recurrence import (
@@ -32,7 +32,7 @@ from triwords.recurrence import (
     recurrence_at,
     six_entries,
 )
-from triwords.relations import IdentityViolation, char_poly_check, identities, identity_suite
+from triwords.relations import char_poly_check, identities, identity_suite, run_validation
 from truth_table import TRUTH
 
 
@@ -292,18 +292,18 @@ class TestCharPoly:
         assert mutant != recurrence.CHAR_POLY_RELATION
         monkeypatch.setattr(recurrence, "CHAR_POLY_RELATION", mutant)
         assert char_poly_check() is False
-        (line,) = (r for r in engines.run_validation(4) if r.name == "char-poly-factorization")
+        (line,) = (r for r in run_validation(4) if r.name == "char-poly-factorization")
         assert line == (line.name, False, mutant)
 
 
 def test_validate_prints_the_char_poly_text_it_checked(monkeypatch):
     # a first run reads the shipped text; then only recurrence's text is
     # rebound, and the line must print the mutant the check read, not a copy
-    engines.run_validation(4)
+    run_validation(4)
     mutant = recurrence.CHAR_POLY_RELATION.replace("26x^3", "25x^3", 1)
     assert mutant != recurrence.CHAR_POLY_RELATION
     monkeypatch.setattr(recurrence, "CHAR_POLY_RELATION", mutant)
-    (line,) = (r for r in engines.run_validation(4) if r.name == "char-poly-factorization")
+    (line,) = (r for r in run_validation(4) if r.name == "char-poly-factorization")
     assert line == (line.name, False, mutant)
 
 
@@ -325,7 +325,7 @@ def test_each_literal_mutant_fails_its_own_check(monkeypatch, relation_texts, ch
         relations = list(recurrence.IDENTITY_RELATIONS)
         relations[index] = (relations[index][0], mutant)
         relation_texts(relations)
-    results = engines.run_validation(40)
+    results = run_validation(40)
     assert [r.name for r in results if not r.passed] == [check]
     assert mutant in next(r.detail for r in results if r.name == check)
 
@@ -350,14 +350,13 @@ def test_unreadable_identity_names_text_and_piece(relation_texts, text, piece):
 def test_rebound_identity_text_is_the_one_checked(monkeypatch):
     # a first run reads the shipped texts; a rebound text, set without the
     # relation_texts fixture, must be read on the next run, not a kept copy
-    identity_suite(10)
+    assert identity_suite(10).all_pass
     name, text = recurrence.IDENTITY_RELATIONS[0]
     mutant = re.sub(r"\d+", lambda m: str(int(m[0]) + 1), text, count=1)
     assert mutant != text
     monkeypatch.setattr(recurrence, "IDENTITY_RELATIONS", ((name, mutant), *recurrence.IDENTITY_RELATIONS[1:]))
-    with pytest.raises(IdentityViolation) as err:
-        identity_suite(10)
-    assert err.value.name == name
+    (result,) = (r for r in identity_suite(10).results if not r.passed)
+    assert (result.name, result.relation) == (name, mutant)
 
 
 def test_unreadable_char_poly_relation_is_internal_error(monkeypatch):
@@ -448,38 +447,27 @@ class TestIdentitySuite:
         # 486 - 3*90 = 216 = 9*(2*3 + 0 + 18)
         assert TRUTH[2][3] - 3 * TRUTH[2][2] == 216 == 9 * (2 * TRUTH[1][0] + TRUTH[1][2] + TRUTH[1][3])
 
-    def test_corrupted_sequence_is_caught(self):
-        seq = coupled_sequence(6)
-        bad = list(seq)
-        v = bad[2]
-        bad[2] = ClassVector(2, v.a + 1, v.b, v.c, v.d)
-        with pytest.raises(IdentityViolation) as err:
-            identity_suite(6, sequence=bad)
-        assert err.value.n is not None
-        assert err.value.name
+    @pytest.mark.parametrize("corrupt", [lambda a: a + 1, lambda a: 64], ids=["a-plus-1", "a-is-64"])
+    def test_corrupted_sequence_is_caught(self, corrupt):
+        bad = coupled_sequence(6)
+        bad[2] = bad[2]._replace(a=corrupt(bad[2].a))
+        report = identity_suite(6, sequence=bad)
+        assert not report.all_pass
+        failed = [r for r in report.results if not r.passed]
+        assert failed and all(r.name and r.first_failure is not None for r in failed)
 
     def test_huge_residual_is_reported_under_default_int_str_cap(self, default_int_str_cap):
         bad = coupled_sequence(3100)
         bad[3050] = bad[3050]._replace(b=0)
-        with pytest.raises(IdentityViolation) as err:
-            identity_suite(3100, sequence=bad)
-        assert (err.value.name, err.value.n) == ("d-prev-from-ab", 3050)
-        assert "(residual -<4365 digits>)" in str(err.value)
-
-    def test_corrupted_sequence_reported_when_not_strict(self):
-        seq = coupled_sequence(6)
-        bad = list(seq)
-        v = bad[2]
-        bad[2] = ClassVector(2, 64, v.b, v.c, v.d)
-        report = identity_suite(6, sequence=bad, strict=False)
-        assert not report.all_pass
-        failed = [r for r in report.results if not r.passed]
-        assert failed and all(r.first_failure is not None for r in failed)
+        report = identity_suite(3100, sequence=bad)
+        first = next(r for r in report.results if not r.passed)
+        assert (first.name, first.first_failure) == ("d-prev-from-ab", 3050)
+        assert f"{first.name:<18} FAIL at n=3050  ({first.checked} indices)" in str(report)
 
     def test_minimum_n(self):
         with pytest.raises(ValueError):
             identity_suite(3)
 
     def test_report_renders(self):
-        text = str(identity_suite(5, strict=False))
+        text = str(identity_suite(5))
         assert "PASS" in text and "d-minus-3c" in text
