@@ -1,21 +1,24 @@
 """Process entry of `python -m triwords` and of the installed `triwords` script.
 
-`run` freezes the objects the imports made (`gc.freeze`) before `cli.main`
-runs, so the full collections the interpreter makes at exit skip them;
-that is about a tenth of a run that computes in milliseconds.  `cli.main`
-itself leaves the collector alone, since tests and tools call it in process.
+`run` calls `cli.main`, flushes, and ends with `os._exit(status)`: a finished
+command needs none of the interpreter's teardown.  An exception that escapes
+`main`, a bug or Ctrl-C, takes the normal exit.
 """
 
-import gc
+import os
 import sys
+from contextlib import suppress
 
 from .cli import main
 
 
-def run() -> int:
-    gc.freeze()
-    return main()
+def run():
+    status = main()
+    with suppress(BrokenPipeError):  # the reader is gone; os._exit drops what is still buffered
+        sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -1,26 +1,20 @@
 """Command-line interface: compute, table, bfile, validate, bench.
 
-Exit status is 0 on success, 1 when a validation check fails, 2 for
-usage errors (bad flags, out-of-domain requests), 3 for internal
-errors (a `counting.InternalError`: an engine produced a value that
-cannot be right, such as a closed form that is not an integer or letter
-counts not summing to a multiple of three, or was given a generating
-function it cannot expand or a transition matrix it cannot power; or a
-`decimal` operation signalled), and 141 (128 + SIGPIPE, as a shell
-reports a process killed by that signal) when the reader of stdout
-closes it early, as `| head` does; that exit prints nothing.  All values
-print in full decimal, so outputs diff bit for bit.  Every printed value,
-single (compute, bench, the aligned table's widths) or streamed (table,
-bfile), is an exact `Decimal`, in the context `digits.EXACT`, printed as
-`str()` gives it, in linear time (`compute` and `bench`'s digests in
-bounded pieces, by `digits.write_decimal`); the registry converts the ints
-of `brute` and `compsum`.  No command calls `str()` on an int past
-CPython's lowest int-to-str cap.  `validate` checks the int routes.
+`parse` reads argv by one table, `COMMANDS`, as argparse did; `-h` prints
+the usage built from it.  Exit status is 0 on success, 1 when a validation
+check fails, 2 for usage errors (a bad argv or an out-of-domain request:
+one `error:` line on stderr), 3 for internal errors (a
+`counting.InternalError`, an engine's value that cannot be right or input
+it cannot use; or a signalled `decimal` operation), and 141 (128 + SIGPIPE),
+printing nothing, when the reader of stdout closes it early, as `| head`
+does.  Every printed value is an exact `Decimal` in `digits.EXACT`, printed
+as `str()` gives it, in linear time (`compute` and `bench`'s digests in
+pieces, by `digits.write_decimal`): outputs diff bit for bit, and no
+command calls `str()` on an int past CPython's lowest int-to-str cap.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from decimal import Decimal, DecimalException, localcontext
@@ -29,26 +23,14 @@ from typing import Iterator
 
 from .counting import ClassLabel, InternalError, require_nonnegative
 from .digits import EXACT, decimal_digits, write_decimal
-from .engines import (
-    ALL_LABELS,
-    ENGINE_IDS,
-    EngineDomainError,
-    bench_engine,
-    check_domain,
-    compute_value,
-    series,
-)
+from .engines import ALL_LABELS, ENGINE_IDS, EngineDomainError, bench_engine, check_domain, compute_value, series
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 BROKEN_PIPE = 141
 
 # OEIS b-files are emitted for these entries (classes A, B, C in order).
-OEIS_SEQUENCES = {
-    "A391468": ClassLabel.A,
-    "A391469": ClassLabel.B,
-    "A391470": ClassLabel.C,
-}
+OEIS_SEQUENCES = {"A391468": ClassLabel.A, "A391469": ClassLabel.B, "A391470": ClassLabel.C}
 
 TABLE_HEADER = ("n", "C_A", "C_B", "C_C", "C_D", "total")
 
@@ -83,7 +65,7 @@ def bfile_lines(sequence: str, max_n: int, offset: int = 1) -> list[str]:
 
 
 def _cmd_compute(args) -> int:
-    write_decimal(compute_value(args.engine, ClassLabel(args.cls), args.n, Decimal), sys.stdout.write)
+    write_decimal(compute_value(args["engine"], ClassLabel(args["class"]), args["n"], Decimal), sys.stdout.write)
     print()
     return 0
 
@@ -91,17 +73,17 @@ def _cmd_compute(args) -> int:
 def _cmd_table(args) -> int:
     # series() refuses a bad request on the call, and row 0, always there, is
     # taken here, so an engine that fails at once prints no part of a document.
-    rows = ((v.n, v.a, v.b, v.c, v.d, v.total) for v in series(args.engine, args.max_n, Decimal))
+    rows = ((v.n, v.a, v.b, v.c, v.d, v.total) for v in series(args["engine"], args["max-n"], Decimal))
     rows = chain([next(rows)], rows)
-    if args.format == "csv":
+    if args["format"] == "csv":
         # Every cell is digits, so no csv quoting ever applies.
         print(",".join(TABLE_HEADER))
         for r in rows:
             print(",".join(map(str, r)))
-    elif args.format == "json":
+    elif args["format"] == "json":
         # json.dump(..., indent=2)'s layout, a row at a time.  Engine ids and
         # headers need no escaping, and there is always the row n = 0.
-        print(f'{{\n  "engine": "{args.engine}",\n  "max_n": {args.max_n},\n  "rows": [')
+        print(f'{{\n  "engine": "{args["engine"]}",\n  "max_n": {args["max-n"]},\n  "rows": [')
         separator = ""
         for r in rows:
             fields = ",\n".join(f'      "{h}": {cell}' for h, cell in zip(TABLE_HEADER, r))
@@ -110,8 +92,8 @@ def _cmd_table(args) -> int:
         print("\n  ]\n}")
     else:
         # Counts never fall as n grows (appending 111 keeps a word's class), so the row at max_n is the widest.
-        values = check_domain(args.engine, args.max_n).at(ALL_LABELS, args.max_n, Decimal)
-        last = (args.max_n, *values, sum(values))
+        values = check_domain(args["engine"], args["max-n"]).at(ALL_LABELS, args["max-n"], Decimal)
+        last = (args["max-n"], *values, sum(values))
         widths = [max(len(h), decimal_digits(cell)) for h, cell in zip(TABLE_HEADER, last)]
         print("  ".join(h.rjust(w) for h, w in zip(TABLE_HEADER, widths)))
         for r in rows:
@@ -120,7 +102,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_bfile(args) -> int:
-    for line in _bfile_stream(args.sequence, args.max_n, args.offset):
+    for line in _bfile_stream(args["sequence"], args["max-n"], args["offset"]):
         print(line)
     return 0
 
@@ -128,13 +110,11 @@ def _cmd_bfile(args) -> int:
 def _cmd_validate(args) -> int:
     from .relations import run_validation  # only validate loads the checks, and the parser they read texts with
 
-    results = sorted(run_validation(args.max_n), key=lambda r: r.name)
-    failures = 0
+    results = sorted(run_validation(args["max-n"]), key=lambda r: r.name)
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        failures += not r.passed
-        print(f"{status}  {r.name}: {r.detail}")
-    print(f"{len(results) - failures}/{len(results)} checks passed (max_n = {args.max_n})")
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
+    failures = sum(not r.passed for r in results)
+    print(f"{len(results) - failures}/{len(results)} checks passed (max_n = {args['max-n']})")
     return 0 if failures == 0 else 1
 
 
@@ -156,77 +136,139 @@ def _value_column(values: dict[ClassLabel, Decimal], digits: int) -> str:
 
 
 def _cmd_bench(args) -> int:
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
+    engines = [e.strip() for e in args["engines"].split(",") if e.strip()]
     if not engines:
         raise EngineDomainError("no engines given")
     # Refuse any engine that does not cover max_n before the first byte.
     for engine in engines:
-        check_domain(engine, args.max_n)
+        check_domain(engine, args["max-n"])
     print(f"{'engine':<12} {'seconds':>10} {'digits':>8}  values")
     for engine in engines:
-        elapsed, values = bench_engine(engine, args.max_n, Decimal)
+        elapsed, values = bench_engine(engine, args["max-n"], Decimal)
         digits = sum(map(decimal_digits, values.values()))
         print(f"{engine:<12} {elapsed:>10.4f} {digits:>8}  {_value_column(values, digits)}")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="triwords",
-        description="Exact counts of 3n-letter words over a three-letter alphabet by residue class.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's help line and options.  An option has a kind (int, str or
+# a tuple of choices) and a default, None if it is required; a name without
+# "--" is positional.
+ENGINE = (ENGINE_IDS, "decoupled")
+COMMANDS = {
+    "compute": (
+        "one class count at one index",
+        {"--class": (tuple(label.value for label in ClassLabel), None), "--n": (int, None), "--engine": ENGINE},
+    ),
+    "table": (
+        "all four classes and the total for n = 0..max_n",
+        {"--max-n": (int, None), "--engine": ENGINE, "--format": (("table", "csv", "json"), "table")},
+    ),
+    "bfile": (
+        "emit an OEIS b-file (index value lines)",
+        {"sequence": (tuple(sorted(OEIS_SEQUENCES)), None), "--max-n": (int, None), "--offset": (int, 1)},
+    ),
+    "validate": ("run all cross-engine and identity checks", {"--max-n": (int, None)}),
+    "bench": ("time engines computing all their classes at n = max_n", {"--max-n": (int, None), "--engines": (str, None)}),
+}
 
-    p = sub.add_parser("compute", help="one class count at one index")
-    p.add_argument("--class", dest="cls", required=True, choices=[l.value for l in ClassLabel])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--engine", default="decoupled", choices=ENGINE_IDS)
-    p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("table", help="all four classes and the total for n = 0..max_n")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--engine", default="decoupled", choices=ENGINE_IDS)
-    p.add_argument("--format", default="table", choices=["table", "csv", "json"])
-    p.set_defaults(func=_cmd_table)
+def _cmd_help(commands: list[str]) -> int:
+    print("usage: triwords [-h] COMMAND [-h] OPTIONS\n")
+    print("Exact counts of 3n-letter words over a three-letter alphabet by residue class.")
+    for command in commands:
+        print(f"\n  triwords {command}: {COMMANDS[command][0]}")
+        for name, (kind, default) in COMMANDS[command][1].items():
+            value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__
+            print(f"    {name} {value}" + ("" if default is None else f" (default {default})"))
+    return 0
 
-    p = sub.add_parser("bfile", help="emit an OEIS b-file (index value lines)")
-    p.add_argument("sequence", choices=sorted(OEIS_SEQUENCES))
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--offset", type=int, default=1, help="first emitted index (default 1)")
-    p.set_defaults(func=_cmd_bfile)
 
-    p = sub.add_parser("validate", help="run all cross-engine and identity checks")
-    p.add_argument("--max-n", type=int, required=True)
-    p.set_defaults(func=_cmd_validate)
+def _option(token: str, names: list[str]) -> tuple[str, str | None] | None:
+    """argparse's reading of a token: None if positional, else the option ("" if
+    unknown) and the text after its "=" or an "-h" (None if there is none)."""
+    name, eq, text = token.partition("=")
+    if not token.startswith("-") or token in ("-", "--"):
+        return None
+    matches = [name] if name in names else [o for o in names if o.startswith(name)] if token[1] == "-" else []
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], text if eq else None
+    if token.startswith("-h"):
+        return "-h", token[2:]
+    whole, dot, fraction = token[1:].partition(".")
+    negative = whole.isdecimal() and not dot or dot and fraction.isdecimal() and (whole + "0").isdecimal()
+    return None if negative or " " in token else ("", None)
 
-    p = sub.add_parser("bench", help="time engines computing all their classes at n = max_n")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--engines", required=True, help="comma-separated engine ids")
-    p.set_defaults(func=_cmd_bench)
 
-    return parser
+def parse(argv: list[str], command: str = "") -> tuple[str, dict]:
+    """The command argv names and its values by option name without "--", or ("help", the
+    commands to describe); a usage error raises ValueError.  As argparse read it: "--opt
+    value" or "--opt=value" in any order, unique prefixes, negative values, the last of a
+    repeated option, "--" before positionals.  The command reads the tokens after it."""
+    options = COMMANDS[command][1] if command else {"command": (tuple(COMMANDS), None)}
+    names = ["-h", "--help", *(name for name in options if name.startswith("--"))]
+    # Every token before the first "--" is read first, so an ambiguous prefix
+    # fails before -h; that "--" is dropped only beside the positional.
+    end = argv.index("--") if command and "--" in argv else len(argv)
+    kinds = [_option(token, names) for token in argv[:end]] + ["--"] + [None] * (len(argv) - end)
+    positionals = [name for name in options if not name.startswith("-")]
+    values, unknown, positional_at, i = {}, [], None, 0
+    while i < len(argv):
+        token, option = argv[i], kinds[i]
+        i += 1
+        if option == "--":
+            continue
+        if option is None and positionals:
+            name, text, positional_at = positionals.pop(0), token, i - 1
+        elif option is None or not option[0]:
+            unknown.append(token)
+            continue
+        else:
+            name, text = option
+            if name in ("-h", "--help"):
+                if text is None or name == "-h" and text and not text.strip("h"):
+                    return "help", [command] if command else list(COMMANDS)
+                raise ValueError(f"argument -h/--help: ignored explicit argument {text!r}")
+            if text is None:
+                if kinds[i] is not None:
+                    raise ValueError(f"argument {name}: expected one argument")
+                text, i = argv[i], i + 1
+        kind = options[name][0]
+        if isinstance(kind, tuple) and text not in kind:
+            raise ValueError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(kind)})")
+        try:
+            values[name] = int(text) if kind is int else text
+        except ValueError:
+            raise ValueError(f"argument {name}: invalid int value: {text!r}") from None
+        if not command:
+            parsed = parse(argv[i:], text)
+            if unknown and parsed[0] != "help":
+                break
+            return parsed
+    if end < len(argv) and positional_at not in (end - 1, end + 1):
+        unknown.append("--")
+    missing = [name for name, (_, default) in options.items() if default is None and name not in values]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    return command, {name.lstrip("-"): values.get(name, default) for name, (_, default) in options.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command on argv (default sys.argv[1:]) and return its exit status.
-
-    Tests call this in process, so process set-up, such as freezing the
-    garbage collector, belongs to the process entry, `triwords.__main__.run`.
-    """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command on argv (default sys.argv[1:]) and return its exit status; never exit."""
     try:
-        # Decimal streams are read in the exact context, never the caller's,
-        # which could round them.
+        command, args = parse(sys.argv[1:] if argv is None else argv)
+        # Decimal streams are read in the exact context, never the caller's, which
+        # could round them; the command is looked up now, so a later wrapper runs.
         with localcontext(EXACT):
-            status = args.func(args)
-        # Flushed here, so that a reader gone early is caught below and not
-        # in the interpreter's own flush at exit.
+            status = globals()[f"_cmd_{command}"](args)
+        # Flushed here, so that a reader gone early is caught below.
         sys.stdout.flush()
         return status
     except BrokenPipeError:
-        # Point stdout at the null device, so the exit flush of what is
-        # still buffered cannot raise a second time.
+        # Point stdout at the null device, so no later flush can raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

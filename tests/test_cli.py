@@ -457,9 +457,9 @@ class TestBfile:
         assert len(runs) == 1
 
     def test_unknown_sequence_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["bfile", "A000001", "--max-n", "3"])
-        assert err.value.code == 2
+        code, out, err = run_cli(capsys, "bfile", "A000001", "--max-n", "3")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: .*'A000001'.*\n", err)
 
     def test_unknown_sequence_library_error(self):
         with pytest.raises(Exception):
@@ -665,19 +665,121 @@ def test_script_and_module_share_the_process_entry():
     assert scripts.strip() == 'triwords = "triwords.__main__:run"'
 
 
-def test_only_the_process_entry_freezes(capsys, monkeypatch):
-    # main runs in process under tests and tools, so the collector freeze
-    # belongs to the process entry alone.
-    from triwords import __main__ as entry
+HELP_LINES = {
+    "compute": "one class count at one index",
+    "table": "all four classes and the total for n = 0..max_n",
+    "bfile": "emit an OEIS b-file (index value lines)",
+    "validate": "run all cross-engine and identity checks",
+    "bench": "time engines computing all their classes at n = max_n",
+}
 
-    freezes = []
-    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(True))
+
+@pytest.mark.parametrize(
+    "argv, commands",
+    [
+        (["-h"], list(HELP_LINES)),
+        (["--help"], list(HELP_LINES)),
+        (["bfile", "--help"], ["bfile"]),
+        (["compute", "--class", "A", "-h", "--n", "x"], ["compute"]),
+    ],
+)
+def test_help_prints_the_usage_of_the_commands_asked_for(capsys, argv, commands):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: triwords")
+    assert [line for line in out.splitlines() if line.startswith("  triwords ")] == [
+        f"  triwords {command}: {HELP_LINES[command]}" for command in commands
+    ]
+    if commands == ["bfile"]:
+        assert "    --offset int (default 1)" in out.splitlines()
+
+
+def test_main_in_process_neither_exits_nor_touches_the_collector(capsys, monkeypatch):
+    # Tests and tools run main in process: only the process entry ends the process.
+    calls = []
+    for name in ("freeze", "unfreeze", "disable", "enable", "collect"):
+        monkeypatch.setattr(gc, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(os, "_exit", lambda status: calls.append("_exit"))
     assert main(["compute", "--class", "A", "--n", "3"]) == 0
-    assert freezes == []
-    monkeypatch.setattr(sys, "argv", ["triwords", "compute", "--class", "A", "--n", "3"])
-    assert entry.run() == 0
-    assert freezes == [True]
-    assert capsys.readouterr().out == "2187\n2187\n"
+    assert main(["compute", "-h"]) == 0
+    assert main(["compute", "--class", "A"]) == 2
+    assert calls == []
+    assert not any("gc." in path.read_text() for path in (ROOT / "src" / "triwords").glob("*.py"))
+
+
+# The two process entries: `python -m triwords`, and the form of the
+# installed script's wrapper, whose sys.exit(run()) never returns.
+ENTRIES = {
+    "module": ["-m", "triwords"],
+    "script": ["-c", "import sys; from triwords.__main__ import run; sys.exit(run())"],
+}
+# Failures set up before the entry runs, by a sitecustomize module, which
+# the interpreter imports at start-up.
+FAILURES = {
+    "check": (
+        "import triwords.relations as relations\n"
+        "relations.run_validation = lambda max_n: [relations.CheckResult('engine/fake', False, 'mismatch at n=7')]\n"
+    ),
+    "internal": (
+        "import triwords.engines as engines\nfrom triwords.counting import InternalError\n"
+        "def broken(*args):\n    raise InternalError('x')\nengines.case_mod4_at = broken\n"
+    ),
+    "row 2": (
+        "import triwords.cli as cli\nfrom triwords.counting import InternalError\nrows = cli.series\n"
+        "def series(*args):\n    for row in rows(*args):\n        if row.n == 2:\n"
+        "            raise InternalError('boom at 2')\n        yield row\ncli.series = series\n"
+    ),
+}
+
+
+def _run_entry(tmp_path, entry, argv, failure=None, closed_stdout=False):
+    """(status, stdout, stderr) of one process; a closed stdout is a pipe whose reader is gone."""
+    (tmp_path / "sitecustomize.py").write_text(FAILURES.get(failure, ""))
+    env = dict(os.environ, PYTHONPATH=f"{tmp_path}{os.pathsep}{ROOT / 'src'}")
+    env.pop("PYTHONUNBUFFERED", None)
+    command = [sys.executable, *entry, *argv]
+    if not closed_stdout:
+        proc = subprocess.run(command, capture_output=True, env=env, timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    return proc.returncode, b"", proc.stderr
+
+
+# main called in process, in a process of its own, with the same failure set up.
+IN_PROCESS = ["-c", "import sys; from triwords.cli import main; sys.exit(main(sys.argv[1:]))"]
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize(
+    "argv, failure, closed_stdout, status",
+    [
+        (["compute", "--class", "A", "--n", "3"], None, False, 0),
+        (["validate", "--max-n", "5"], "check", False, 1),
+        (["compute", "--class", "A", "--n", "-1"], None, False, 2),
+        (["compute", "--klass", "A", "--n", "3"], None, False, 2),
+        (["compute", "--engine", "mod4", "--class", "A", "--n", "5"], "internal", False, 3),
+        (["bfile", "A391470", "--max-n", "300"], None, True, BROKEN_PIPE),
+    ],
+    ids=["ok", "check-failed", "usage", "parse", "internal", "reader-gone"],
+)
+def test_process_entry_exits_as_main_returns(tmp_path, entry, argv, failure, closed_stdout, status):
+    got = _run_entry(tmp_path, ENTRIES[entry], argv, failure, closed_stdout)
+    assert got == _run_entry(tmp_path, IN_PROCESS, argv, failure, closed_stdout)
+    assert got[0] == status
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_failure_after_buffered_output_with_reader_gone(tmp_path, entry):
+    # The rows before the failure are still in stdout's buffer when main
+    # returns; the entry's own flush meets the closed pipe and keeps main's status.
+    argv = ["table", "--format", "csv", "--max-n", "5", "--engine", "coupled"]
+    got = _run_entry(tmp_path, ENTRIES[entry], argv, "row 2", closed_stdout=True)
+    assert got == (3, b"", b"internal error: boom at 2\n")
 
 
 @pytest.mark.parametrize(
@@ -687,12 +789,15 @@ def test_only_the_process_entry_freezes(capsys, monkeypatch):
         ["table", "--format", "csv", "--max-n", "5"],
         ["bfile", "A391468", "--max-n", "5"],
         ["validate", "--max-n", "4"],
+        ["bench", "--max-n", "4", "--engines", "coupled"],
+        ["compute", "-h"],
     ],
-    ids=["compute", "table-csv", "bfile", "validate"],
+    ids=["compute", "table-csv", "bfile", "validate", "bench", "help"],
 )
 def test_lean_start(argv):
-    # Only bench hashes, so no other command loads OpenSSL through hashlib;
-    # no command loads fractions.  -S keeps site's own imports out of the list.
+    # No command loads OpenSSL through hashlib, or fractions; the command
+    # table reads argv, and help, without argparse, gettext, getopt or locale.
+    # -S keeps site's own imports out of the list.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "triwords", *argv],
@@ -704,7 +809,7 @@ def test_lean_start(argv):
     assert proc.returncode == 0
     imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "triwords.cli" in imported
-    assert not imported & {"hashlib", "_hashlib", "fractions"}
+    assert not imported & {"hashlib", "_hashlib", "fractions", "argparse", "gettext", "getopt", "locale"}
 
 
 # The engine modules, outside the core (cli, counting, digits, engines) that every command loads.

@@ -153,6 +153,9 @@ enumerators() {
 # hashlib only re-exports, so no command loads hashlib's _hashlib and
 # OpenSSL: this runs that path as a real process, under -X importtime (-S
 # leaves site's imports out), and fails if hashlib or _hashlib appears.
+# The CLI reads argv from its own command table, so the same list must not
+# hold argparse, or the gettext, getopt and locale that argparse-style
+# parsing loads: start-up is most of a run that computes in milliseconds.
 # A second run compares the six point routes that are not enumerators at
 # n = 100000 in Decimal, where decoupled's shared residue and genfun's
 # shared halving chain carry real weight.
@@ -160,7 +163,7 @@ bench() {
   python -S -X importtime -m triwords bench --max-n 4000 --engines compsum,coupled,decoupled,closed,rootbasis,mod4,genfun \
     2> "$tmp/bench-imports" | tee "$tmp/bench"
   one_digest 7 "$tmp/bench"
-  if grep -E '\| +_?hashlib$' "$tmp/bench-imports"; then exit 1; fi
+  if grep -E '\| +(_?hashlib|argparse|gettext|getopt|locale)$' "$tmp/bench-imports"; then exit 1; fi
   python -m triwords bench --max-n 100000 --engines coupled,decoupled,genfun,closed,rootbasis,mod4 | tee "$tmp/bench-100000"
   one_digest 6 "$tmp/bench-100000"
 }
