@@ -8,31 +8,14 @@ cross-validated bit for bit.
 
 The exports load on first use: reading one imports its module then, so
 importing the package, or running `python -m triwords`, imports only the
-modules that are used.  `engines` binds its engine functions the same way.
+modules that are used.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-
-def _bind_on_first_use(namespace: dict, homes: dict[str, str]):
-    """A module `__getattr__` (PEP 562) for namespace that binds names from their home modules on first use.
-
-    homes maps a module of this package to the space-separated names taken
-    from it; a name is imported, and bound in namespace, when first read.
-    """
-    home_of = {name: home for home, names in homes.items() for name in names.split()}
-
-    def __getattr__(name: str):
-        if name not in home_of:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        value = namespace[name] = getattr(import_module(f"{__name__}.{home_of[name]}"), name)
-        return value
-
-    return __getattr__
-
-
+# Each module of this package and the space-separated names exported from it.
 _EXPORTS = {
     "closedform": "case_mod4 closed_form root_basis",
     "counting": "ClassLabel brute_force_words classify composition_sum direct_sum trinomial",
@@ -44,4 +27,12 @@ _EXPORTS = {
 }
 
 __all__ = sorted(" ".join(_EXPORTS.values()).split())
-__getattr__ = _bind_on_first_use(globals(), _EXPORTS)
+_HOME = {name: home for home, names in _EXPORTS.items() for name in names.split()}
+
+
+def __getattr__(name: str):
+    """An export, imported from its home module and bound here on first read (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value

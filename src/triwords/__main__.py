@@ -14,9 +14,9 @@ from .cli import main
 
 def run():
     status = main()
-    with suppress(BrokenPipeError):  # the reader is gone; os._exit drops what is still buffered
-        sys.stdout.flush()
-    sys.stderr.flush()
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # a stream closed at start-up is None
+        with suppress(OSError):  # a failed write is main's to report; os._exit drops what is still buffered
+            stream.flush()
     os._exit(status)
 
 

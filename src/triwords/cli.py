@@ -5,16 +5,19 @@ the usage built from it.  Exit status is 0 on success, 1 when a validation
 check fails, 2 for usage errors (a bad argv or an out-of-domain request:
 one `error:` line on stderr), 3 for internal errors (a
 `counting.InternalError`, an engine's value that cannot be right or input
-it cannot use; or a signalled `decimal` operation), and 141 (128 + SIGPIPE),
+it cannot use; or a signalled `decimal` operation), 141 (128 + SIGPIPE),
 printing nothing, when the reader of stdout closes it early, as `| head`
-does.  Every printed value is an exact `Decimal` in `digits.EXACT`, printed
-as `str()` gives it, in linear time (`compute` and `bench`'s digests in
-pieces, by `digits.write_decimal`): outputs diff bit for bit, and no
-command calls `str()` on an int past CPython's lowest int-to-str cap.
+does, and 74 (`EX_IOERR`) when stdout cannot be written, full or closed:
+one `error: cannot write output:` line on stderr.  Every printed value is
+an exact `Decimal` in `digits.EXACT`, printed as `str()` gives it, in
+linear time (`compute` and `bench`'s digests in pieces, by
+`digits.write_decimal`): outputs diff bit for bit, and no command calls
+`str()` on an int past CPython's lowest int-to-str cap.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 from decimal import Decimal, DecimalException, localcontext
@@ -28,15 +31,12 @@ from .engines import ALL_LABELS, ENGINE_IDS, EngineDomainError, bench_engine, ch
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 BROKEN_PIPE = 141
+OUTPUT_ERROR = 74  # EX_IOERR in sysexits.h
 
 # OEIS b-files are emitted for these entries (classes A, B, C in order).
 OEIS_SEQUENCES = {"A391468": ClassLabel.A, "A391469": ClassLabel.B, "A391470": ClassLabel.C}
 
 TABLE_HEADER = ("n", "C_A", "C_B", "C_C", "C_D", "total")
-
-
-class UnknownSequence(ValueError):
-    """Requested OEIS id is not one of the three emitted sequences."""
 
 
 def _bfile_stream(sequence: str, max_n: int, offset: int = 1) -> Iterator[str]:
@@ -49,7 +49,7 @@ def _bfile_stream(sequence: str, max_n: int, offset: int = 1) -> Iterator[str]:
     to max_n.  A refused request raises on the call, before any line is read.
     """
     if sequence not in OEIS_SEQUENCES:
-        raise UnknownSequence(f"unknown sequence {sequence!r}; known: {', '.join(OEIS_SEQUENCES)}")
+        raise ValueError(f"unknown sequence {sequence!r}; known: {', '.join(OEIS_SEQUENCES)}")
     require_nonnegative(max_n, "max_n")
     if not 0 <= offset <= max_n:
         raise ValueError(f"offset must be in 0..max_n, got {offset}")
@@ -256,10 +256,19 @@ def parse(argv: list[str], command: str = "") -> tuple[str, dict]:
     return command, {name.lstrip("-"): values.get(name, default) for name, (_, default) in options.items()}
 
 
+def _to_null_device() -> None:
+    """Point stdout at the null device, so no later flush can raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command on argv (default sys.argv[1:]) and return its exit status; never exit."""
     try:
         command, args = parse(sys.argv[1:] if argv is None else argv)
+        if sys.stdout is None:  # the process started with stdout closed, as by `>&-`
+            raise OSError(errno.EBADF, "stdout is closed")
         # Decimal streams are read in the exact context, never the caller's, which
         # could round them; the command is looked up now, so a later wrapper runs.
         with localcontext(EXACT):
@@ -268,11 +277,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return status
     except BrokenPipeError:
-        # Point stdout at the null device, so no later flush can raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_null_device()
         return BROKEN_PIPE
+    except OSError as exc:
+        # A write error is not a failed check: it has a status of its own.
+        if sys.stdout is not None:
+            _to_null_device()
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return OUTPUT_ERROR
     except (InternalError, DecimalException) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -13,32 +13,18 @@ step's window is full, then step, and the rest map `at` over n.  Both
 routes give ints, or another number type `num`, such as `Decimal`, for a
 caller that only prints them.  Every engine but the enumerators computes in num from num
 seeds, so no computed int is converted; the enumerators count faster on
-ints, and their registry entries convert the counts to num.
+ints, and their registry entries convert the counts to num.  Each engine's
+routes live in its home module, imported when a route runs.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import namedtuple
+from importlib import import_module
 from typing import Any, Callable, Iterator
 
-from . import _bind_on_first_use
-from .counting import BRUTE_FORCE_MAX_N, ClassLabel, ClassVector, brute_force_words, composition_sum
-
-# The functions this module takes from each engine module.  Each binds on
-# first use, so a command imports only its own engine's module.
-__getattr__ = _bind_on_first_use(
-    globals(),
-    {
-        "closedform": "case_mod4_at closed_form_at root_basis_at",
-        "genfun": "gf_at gf_for_class gf_rows",
-        "recurrence": "coupled_at coupled_rows decoupled_at decoupled_rows quartic_c quartic_c_rows",
-    },
-)
-
-# This module, whose attributes the registry reads at call time.
-_here = sys.modules[__name__]
+from .counting import BRUTE_FORCE_MAX_N, ClassLabel, ClassVector
 
 ALL_LABELS = (ClassLabel.A, ClassLabel.B, ClassLabel.C, ClassLabel.D)
 
@@ -57,45 +43,50 @@ def _pick(v: ClassVector, labels: tuple[ClassLabel, ...]) -> tuple[int, ...]:
     return tuple(map(v.component, labels))
 
 
-class EngineInfo(namedtuple("EngineInfo", "name min_n max_n labels at stream", defaults=(None,))):
-    """An engine's domain, its classes from min_n to max_n (None: no cap), and its point route at.
+class EngineInfo(namedtuple("EngineInfo", "name min_n max_n labels home point stream", defaults=(None,))):
+    """An engine's domain, its classes from min_n to max_n (None: no cap), and its routes in module home.
 
-    at(labels, n, num=int) gives the values of those classes at n, in label
-    order and as num, and rows(labels, lo, hi, num=int) gives them for n =
-    lo..hi.  stream is the engine's own rows route, its point values at lo
-    and then its step; without one, rows maps at over n.
+    at(labels, n, num=int) gives those classes' values at n, in label order and as num, and
+    rows(labels, lo, hi, num=int) gives them for n = lo..hi.  Both call point(m, labels, n, num),
+    or rows calls stream(m, labels, lo, hi, num), the engine's own rows route (its point values at
+    lo, then its step), with m the module home, imported on the call.
     """
 
     __slots__ = ()
 
+    def at(self, labels: tuple[ClassLabel, ...], n: int, num: Num = int) -> tuple:
+        return self.point(import_module(f"{__package__}.{self.home}"), labels, n, num)
+
     def rows(self, labels: tuple[ClassLabel, ...], lo: int, hi: int, num: Num = int) -> Iterator[tuple]:
+        m = import_module(f"{__package__}.{self.home}")
         if self.stream is not None:
-            return self.stream(labels, lo, hi, num)
-        return (self.at(labels, n, num) for n in range(lo, hi + 1))
+            return self.stream(m, labels, lo, hi, num)
+        return (self.point(m, labels, n, num) for n in range(lo, hi + 1))
 
 
-# The lambdas read their engine functions as attributes of this module at
-# call time, so the registry follows whatever those names are bound to, and
-# the first call binds a name and imports its module (see __getattr__).
+# Each route reads its engine functions from m as it runs, so it follows that module's bindings.
 ENGINES: dict[str, EngineInfo] = {
     e.name: e
     for e in (
-        EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS,
-                   lambda labels, n, num=int: tuple(map(num, _pick(brute_force_words(n), labels)))),
-        EngineInfo("compsum", 0, None, ALL_LABELS,
-                   lambda labels, n, num=int: tuple(map(num, _pick(composition_sum(n), labels)))),
-        EngineInfo("coupled", 0, None, ALL_LABELS, lambda labels, n, num=int: _pick(_here.coupled_at(n, num), labels),
-                   lambda labels, lo, hi, num=int: (_pick(v, labels) for v in _here.coupled_rows(lo, hi, num))),
-        EngineInfo("decoupled", 0, None, ALL_LABELS, lambda labels, n, num=int: _here.decoupled_at(labels, n, num),
-                   lambda labels, lo, hi, num=int: _here.decoupled_rows(labels, lo, hi, num)),
-        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), lambda labels, n, num=int: (_here.quartic_c(n, num),),
-                   lambda labels, lo, hi, num=int: zip(_here.quartic_c_rows(lo, hi, num))),
-        EngineInfo("closed", 1, None, ALL_LABELS, lambda labels, n, num=int: _here.closed_form_at(labels, n, num)),
-        EngineInfo("rootbasis", 1, None, ALL_LABELS, lambda labels, n, num=int: _here.root_basis_at(labels, n, num)),
-        EngineInfo("mod4", 1, None, ALL_LABELS, lambda labels, n, num=int: _here.case_mod4_at(labels, n, num)),
-        EngineInfo("genfun", 0, None, ALL_LABELS,
-                   lambda labels, n, num=int: _here.gf_at(tuple(map(_here.gf_for_class, labels)), n, num),
-                   lambda labels, lo, hi, num=int: _here.gf_rows(tuple(map(_here.gf_for_class, labels)), lo, hi, num)),
+        EngineInfo("brute", 0, BRUTE_FORCE_MAX_N, ALL_LABELS, "counting",
+                   lambda m, labels, n, num: tuple(map(num, _pick(m.brute_force_words(n), labels)))),
+        EngineInfo("compsum", 0, None, ALL_LABELS, "counting",
+                   lambda m, labels, n, num: tuple(map(num, _pick(m.composition_sum(n), labels)))),
+        EngineInfo("coupled", 0, None, ALL_LABELS, "recurrence",
+                   lambda m, labels, n, num: _pick(m.coupled_at(n, num), labels),
+                   lambda m, labels, lo, hi, num: (_pick(v, labels) for v in m.coupled_rows(lo, hi, num))),
+        EngineInfo("decoupled", 0, None, ALL_LABELS, "recurrence",
+                   lambda m, labels, n, num: m.decoupled_at(labels, n, num),
+                   lambda m, labels, lo, hi, num: m.decoupled_rows(labels, lo, hi, num)),
+        EngineInfo("quartic-c", 0, None, (ClassLabel.C,), "recurrence",
+                   lambda m, labels, n, num: (m.quartic_c(n, num),),
+                   lambda m, labels, lo, hi, num: zip(m.quartic_c_rows(lo, hi, num))),
+        EngineInfo("closed", 1, None, ALL_LABELS, "closedform", lambda m, labels, n, num: m.closed_form_at(labels, n, num)),
+        EngineInfo("rootbasis", 1, None, ALL_LABELS, "closedform", lambda m, labels, n, num: m.root_basis_at(labels, n, num)),
+        EngineInfo("mod4", 1, None, ALL_LABELS, "closedform", lambda m, labels, n, num: m.case_mod4_at(labels, n, num)),
+        EngineInfo("genfun", 0, None, ALL_LABELS, "genfun",
+                   lambda m, labels, n, num: m.gf_at(tuple(map(m.gf_for_class, labels)), n, num),
+                   lambda m, labels, lo, hi, num: m.gf_rows(tuple(map(m.gf_for_class, labels)), lo, hi, num)),
     )
 }
 
@@ -151,7 +142,7 @@ def compute_series(engine: str, max_n: int) -> list[ClassVector]:
 def bench_engine(engine: str, n: int, num: Num = int) -> tuple[float, dict[ClassLabel, Any]]:
     """Wall-clock time and values, as num, for computing every supported class at n, in one pass."""
     info = check_domain(engine, n)
-    info.at(info.labels, info.min_n, num)  # binds the route, and imports its module, before the clock starts
+    info.at(info.labels, info.min_n, num)  # imports the home module before the clock starts
     start = time.perf_counter()
     row = info.at(info.labels, n, num)
     elapsed = time.perf_counter() - start

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from triwords import cli, closedform, recurrence
-from triwords.cli import BROKEN_PIPE, OEIS_SEQUENCES, bfile_lines, main
+from triwords.cli import BROKEN_PIPE, OEIS_SEQUENCES, OUTPUT_ERROR, bfile_lines, main
 from triwords.closedform import case_mod4
 from triwords.counting import ClassLabel
 from triwords.digits import EXACT, PIECE_DIGITS, STR_BITS, decimal_digits, to_decimal
@@ -95,7 +95,7 @@ class TestCompute:
             undefined = num(0) / num(0)  # InvalidOperation, which the exact context traps
             return (undefined,) * len(labels)
 
-        monkeypatch.setattr("triwords.engines.case_mod4_at", undefined_quotient)
+        monkeypatch.setattr("triwords.closedform.case_mod4_at", undefined_quotient)
         code, out, err = run_cli(capsys, "compute", "--class", "B", "--n", "5", "--engine", "mod4")
         assert code == 3
         assert out == ""
@@ -125,7 +125,7 @@ class TestCompute:
     def test_non_unit_generating_function_is_internal_error(self, capsys, monkeypatch):
         from triwords.genfun import RationalGF
 
-        monkeypatch.setattr("triwords.engines.gf_for_class", lambda label: RationalGF((1,), (2, -1)))
+        monkeypatch.setattr("triwords.genfun.gf_for_class", lambda label: RationalGF((1,), (2, -1)))
         code, out, err = run_cli(capsys, "compute", "--class", "A", "--n", "3", "--engine", "genfun")
         assert code == 3
         assert out == ""
@@ -150,7 +150,7 @@ class TestCompute:
         def broken(labels, n, num=int):
             raise InternalError("x")
 
-        monkeypatch.setattr("triwords.engines.case_mod4_at", broken)
+        monkeypatch.setattr("triwords.closedform.case_mod4_at", broken)
         result = run_cli(capsys, "compute", "--engine", "mod4", "--class", "A", "--n", "5")
         assert result == (3, "", "internal error: x\n")
 
@@ -537,7 +537,7 @@ class TestValidate:
         def off_by_one(labels, n, num=int):
             return tuple(v + (n == bad_n and label is ClassLabel.C) for label, v in zip(labels, real(labels, n, num)))
 
-        monkeypatch.setattr("triwords.engines.case_mod4_at", off_by_one)
+        monkeypatch.setattr("triwords.closedform.case_mod4_at", off_by_one)
         code, out, _ = run_cli(capsys, "validate", "--max-n", "120")
         assert code == 1
         assert f"FAIL  engine/mod4-vs-coupled: mismatch at n={bad_n} class C: {shown}\n" in out
@@ -721,8 +721,8 @@ FAILURES = {
         "relations.run_validation = lambda max_n: [relations.CheckResult('engine/fake', False, 'mismatch at n=7')]\n"
     ),
     "internal": (
-        "import triwords.engines as engines\nfrom triwords.counting import InternalError\n"
-        "def broken(*args):\n    raise InternalError('x')\nengines.case_mod4_at = broken\n"
+        "import triwords.closedform as closedform\nfrom triwords.counting import InternalError\n"
+        "def broken(*args):\n    raise InternalError('x')\nclosedform.case_mod4_at = broken\n"
     ),
     "row 2": (
         "import triwords.cli as cli\nfrom triwords.counting import InternalError\nrows = cli.series\n"
@@ -841,7 +841,7 @@ ENGINE_MODULES = {"closedform", "genfun", "recurrence", "ring"}
 )
 def test_each_command_loads_only_its_engine_modules(argv, loaded):
     # sys.modules, not -X importtime, whose list leaves out importlib.import_module,
-    # by which the package binds its engine modules on first use.
+    # by which the registry loads an engine's module when it first runs one of its routes.
     script = (
         "import contextlib, io, json, sys\nfrom triwords.cli import main\n"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
@@ -889,19 +889,6 @@ def test_exports_are_their_home_modules_objects():
             assert getattr(triwords, name) is getattr(module, name)
     with pytest.raises(AttributeError):
         triwords.no_such_export
-    # engines binds the functions it takes from the engine modules the same way
-    engine_functions = {
-        "closedform": ["case_mod4_at", "closed_form_at", "root_basis_at"],
-        "genfun": ["gf_at", "gf_for_class", "gf_rows"],
-        "recurrence": ["coupled_at", "coupled_rows", "decoupled_at", "decoupled_rows", "quartic_c", "quartic_c_rows"],
-    }
-    engines = importlib.import_module("triwords.engines")
-    for home, names in engine_functions.items():
-        module = importlib.import_module(f"triwords.{home}")
-        for name in names:
-            assert getattr(engines, name) is getattr(module, name)
-    with pytest.raises(AttributeError):
-        engines.no_such_function
 
 
 def test_decimal_digits_export_loads_only_digits():
@@ -987,8 +974,43 @@ def test_reader_gone_after_the_first_piece_exits_quietly():
     assert (proc.returncode, err) == (BROKEN_PIPE, b"")
 
 
+def _assert_output_error(proc):
+    # A write error has its own status, 74 (EX_IOERR), not a failed check's 1, and one line of its own.
+    (line,) = proc.stderr.decode().splitlines()
+    assert (proc.returncode, line.startswith("error: cannot write output: ")) == (OUTPUT_ERROR, True)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--class", "A", "--n", "300"],
+        ["table", "--max-n", "3000", "--format", "csv"],
+        ["bfile", "A391470", "--max-n", "300"],
+        ["validate", "--max-n", "40"],
+    ],
+    ids=["compute", "table-csv", "bfile", "validate"],
+)
+def test_full_stdout_is_an_output_error(argv, unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "triwords", *argv], stdout=full, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    _assert_output_error(proc)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes stdout with a POSIX shell")
+def test_stdout_closed_at_start_is_an_output_error():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = 'exec "$0" -m triwords compute --class A --n 1 >&-'
+    proc = subprocess.run(["sh", "-c", script, sys.executable], stderr=subprocess.PIPE, env=env, timeout=60)
+    _assert_output_error(proc)
+
+
 def test_bench_binds_the_route_before_its_clock_starts():
-    # The engine functions bind, and import their module, on first use; bench must not time that.
+    # A route imports its engine's module on first use; bench must not time that.
     script = (
         "import json, sys, time\nfrom triwords import engines\n"
         "assert 'triwords.closedform' not in sys.modules\n"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triwords import engines
+from triwords import closedform, engines, genfun, recurrence
 from triwords.closedform import case_mod4_vector
 from triwords.counting import ClassLabel, brute_force_words, composition_sum
 from triwords.digits import EXACT, LEAF_BITS, PIECE_DIGITS, STR_BITS, brief, decimal_digits, to_decimal, write_decimal
@@ -179,8 +179,9 @@ class TestPointRoutes:
         def walked(*args):
             raise AssertionError("a point request walked a stream")
 
-        for rows in ("coupled_rows", "decoupled_rows", "quartic_c_rows", "gf_rows"):
-            monkeypatch.setattr(engines, rows, walked)
+        for rows in ("coupled_rows", "decoupled_rows", "quartic_c_rows"):
+            monkeypatch.setattr(recurrence, rows, walked)
+        monkeypatch.setattr(genfun, "gf_rows", walked)
         for engine in POINT_ROUTE_ENGINES:
             labels = engines.ENGINES[engine].labels
             for n in range(9):
@@ -231,12 +232,12 @@ class TestDecimalPointRoutes:
 
 class TestValidation:
     def test_point_route_mismatch_names_index_and_class(self, monkeypatch):
-        real = engines.decoupled_at
+        real = recurrence.decoupled_at
 
         def off_by_one(labels, n, num=int):
             return tuple(v + (n == 40 and label is ClassLabel.B) for label, v in zip(labels, real(labels, n, num)))
 
-        monkeypatch.setattr(engines, "decoupled_at", off_by_one)
+        monkeypatch.setattr(recurrence, "decoupled_at", off_by_one)
         (result,) = [r for r in run_validation(40) if r.name == "engine/decoupled-vs-coupled"]
         want = compute_value("coupled", ClassLabel.B, 40)
         assert not result.passed
@@ -244,12 +245,12 @@ class TestValidation:
 
     def test_sum_identity_names_the_first_wrong_total(self, monkeypatch):
         # the reference rows with D one too large at n = 7 alone
-        real = engines.coupled_rows
+        real = recurrence.coupled_rows
 
         def corrupted(*args):
             return (v._replace(d=v.d + 1) if v.n == 7 else v for v in real(*args))
 
-        monkeypatch.setattr(engines, "coupled_rows", corrupted)
+        monkeypatch.setattr(recurrence, "coupled_rows", corrupted)
         (result,) = [r for r in run_validation(10) if r.name == "sum-identity"]
         assert result == ("sum-identity", False, "total at n=7 is not 27^7")
 
@@ -309,7 +310,7 @@ class TestBench:
             return power(self, exponent)
 
         monkeypatch.setattr(AlgebraicQ3i, "__pow__", counted)
-        bench_engine("rootbasis", 50)  # which first binds the route by one call at min_n = 1, off the clock
+        bench_engine("rootbasis", 50)  # which first imports the route's module by one call at min_n = 1, off the clock
         assert exponents == [1, 50]
         compute_value("rootbasis", ClassLabel.B, 50)
         assert exponents == [1, 50, 50]
@@ -320,10 +321,28 @@ class TestBench:
     )
     def test_closed_forms_compute_one_vector_per_index(self, monkeypatch, engine, route):
         indices = []
-        real = getattr(engines, route)
-        monkeypatch.setattr(engines, route, lambda labels, n, num=int: indices.append(n) or real(labels, n, num))
-        bench_engine(engine, 50)  # one call at min_n = 1 binds the route, then one call at 50 is timed
+        real = getattr(closedform, route)
+        monkeypatch.setattr(closedform, route, lambda labels, n, num=int: indices.append(n) or real(labels, n, num))
+        bench_engine(engine, 50)  # one call at min_n = 1 imports the route's module, then one call at 50 is timed
         assert indices == [1, 50]
+
+    def test_registry_follows_each_home_modules_current_binding(self, monkeypatch):
+        calls = []
+
+        def spy(home, route):
+            real = getattr(home, route)
+            monkeypatch.setattr(home, route, lambda labels, n, num: calls.append((route, n)) or real(labels, n, num))
+
+        spy(recurrence, "decoupled_at")
+        spy(closedform, "case_mod4_at")
+        for engine, route, min_n in (("decoupled", "decoupled_at", 0), ("mod4", "case_mod4_at", 1)):
+            calls.clear()
+            assert compute_value(engine, ClassLabel.B, 9) == TRUTH[9][1]
+            assert bench_engine(engine, 8)[1][ClassLabel.D] == TRUTH[8][3]
+            assert calls == [(route, 9), (route, min_n), (route, 8)]  # bench's first call is off the clock
+        calls.clear()
+        assert [v.as_tuple() for v in series("decoupled", 5)] == [TRUTH[n] for n in range(6)]
+        assert calls and {route for route, _ in calls} == {"decoupled_at"}
 
     def test_quartic_only_covers_c(self):
         _, values = bench_engine("quartic-c", 12)

@@ -27,6 +27,7 @@ STEPS=(
   "validate 1000"  # the closed forms against the coupled reference to n = 1000
   "validate 3000"  # every engine, the closed forms included (about 2 s)
   bfile_head
+  output_full
   tables
   point_100000
   point_1000000
@@ -59,6 +60,19 @@ validate() {
 bfile_head() {
   set +o pipefail
   env -u PYTHONINTMAXSTRDIGITS python -m triwords bfile A391470 --max-n 3000 2>"$tmp/err.txt" | head -1 && test ! -s "$tmp/err.txt"
+}
+
+# A write error must not read as a failed check (status 1): a full stdout
+# exits 74 (EX_IOERR) with one `error:` line on stderr, buffered or not.
+output_full() {
+  for unbuffered in "" 1; do
+    status=0
+    PYTHONUNBUFFERED="$unbuffered" python -m triwords table --format csv --max-n 3000 > /dev/full 2> "$tmp/err.txt" ||
+      status=$?
+    test "$status" -eq 74
+    test "$(wc -l < "$tmp/err.txt")" -eq 1
+    grep -q '^error: ' "$tmp/err.txt"
+  done
 }
 
 # table computes its rows in exact decimal arithmetic, which validate (ints
