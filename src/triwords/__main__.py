@@ -1,8 +1,8 @@
 """Process entry of `python -m triwords` and of the installed `triwords` script.
 
 `run` calls `cli.main`, flushes, and ends with `os._exit(status)`: a finished
-command needs none of the interpreter's teardown.  An exception that escapes
-`main`, a bug or Ctrl-C, takes the normal exit.
+command needs none of the interpreter's teardown.  `main` returns a status
+for every exception, so only Ctrl-C escapes it, and takes the normal exit.
 """
 
 import os

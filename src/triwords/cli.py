@@ -3,16 +3,18 @@
 `parse` reads argv by one table, `COMMANDS`, as argparse did; `-h` prints
 the usage built from it.  Exit status is 0 on success, 1 when a validation
 check fails, 2 for usage errors (a bad argv or an out-of-domain request:
-one `error:` line on stderr), 3 for internal errors (a
-`counting.InternalError`, an engine's value that cannot be right or input
-it cannot use; or a signalled `decimal` operation), 141 (128 + SIGPIPE),
-printing nothing, when the reader of stdout closes it early, as `| head`
-does, and 74 (`EX_IOERR`) when stdout cannot be written, full or closed:
-one `error: cannot write output:` line on stderr.  Every printed value is
-an exact `Decimal` in `digits.EXACT`, printed as `str()` gives it, in
-linear time (`compute` and `bench`'s digests in pieces, by
-`digits.write_decimal`): outputs diff bit for bit, and no command calls
-`str()` on an int past CPython's lowest int-to-str cap.
+one `error:` line on stderr), 3 for internal errors (one `internal error:`
+line for a `counting.InternalError`, an engine's value that cannot be
+right or input it cannot use, a signalled `decimal` operation, or any
+other exception but a `ValueError`), 141 (128 + SIGPIPE), printing
+nothing, when the reader of stdout closes it early, as `| head` does, and
+74 (`EX_IOERR`) when stdout cannot be written, full or closed: one
+`error: cannot write output:` line on stderr.  A line that stderr cannot
+take is dropped, and the status stays.  Every printed value is an exact
+`Decimal` in `digits.EXACT`, printed as `str()` gives it, in linear time
+(`compute` and `bench`'s digests in pieces, by `digits.write_decimal`):
+outputs diff bit for bit, and no command calls `str()` on an int past
+CPython's lowest int-to-str cap.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import errno
 import os
 import sys
-from decimal import Decimal, DecimalException, localcontext
+from contextlib import suppress
+from decimal import Decimal, localcontext
 from itertools import chain
 from typing import Iterator
 
@@ -283,11 +286,13 @@ def main(argv: list[str] | None = None) -> int:
         # A write error is not a failed check: it has a status of its own.
         if sys.stdout is not None:
             _to_null_device()
-        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
-        return OUTPUT_ERROR
-    except (InternalError, DecimalException) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        status, line = OUTPUT_ERROR, f"error: cannot write output: {exc.strerror or exc}"
+    except Exception as exc:
+        # A refused request raises ValueError; any other exception, an InternalError too, is a bug.
+        usage = isinstance(exc, ValueError) and not isinstance(exc, InternalError)
+        status = USAGE_ERROR if usage else INTERNAL_ERROR
+        line = f"{'error' if usage else 'internal error'}: {str(exc) or type(exc).__name__}"
+    if sys.stderr is not None:  # None when closed at start-up; a line it cannot take is dropped
+        with suppress(OSError):
+            print(line, file=sys.stderr)
+    return status

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from enum import Enum
 from math import comb
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -110,6 +110,11 @@ def stepped(point: Callable[[int], T], order: int, step: Callable[[deque[T]], T]
         x = step(window)
         window.append(x)
         yield x
+
+
+def columns(steps: Sequence[Callable[[Sequence[T]], T]]) -> Callable[[Sequence[tuple]], tuple]:
+    """The step of a row of independent recurrences, for stepped: step k runs over column k of the window."""
+    return lambda w: tuple(step(col) for step, col in zip(steps, zip(*w)))
 
 
 def trinomial(N: int, n1: int, n2: int, n3: int) -> int:

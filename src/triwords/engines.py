@@ -6,25 +6,26 @@ them.  The registry below records each engine's domain (minimum n, an
 upper bound for the brute-force enumerator, and which classes it covers)
 and two routes to the numbers.  The point route, `at`, gives one n and
 serves `compute` and `bench`; coupled, decoupled, quartic-c and genfun
-take O(log n) big products there, not a walk from n = 0.  The stream
-route, `rows`, gives n = lo..hi and serves `table`, `bfile` and
-`validate`; those four engines take point values from lo until their
-step's window is full, then step, and the rest map `at` over n.  Both
-routes give ints, or another number type `num`, such as `Decimal`, for a
-caller that only prints them.  Every engine but the enumerators computes in num from num
-seeds, so no computed int is converted; the enumerators count faster on
-ints, and their registry entries convert the counts to num.  Each engine's
-routes live in its home module, imported when a route runs.
+take O(log n) big products there, not a walk from n = 0.  The row route,
+`rows`, gives n = lo..hi and serves `table`, `bfile` and `validate`; those
+four engines give a step, and `rows` runs each by counting.stepped: point
+values from lo until the step's window is full, then the step.  The rest
+map the point route over n.  Both routes give ints, or another number type
+`num`, such as `Decimal`, for a caller that only prints them.  Every engine
+but the enumerators computes in num from num seeds, so no computed int is
+converted; the enumerators count faster on ints, and their registry entries
+convert the counts to num.  Each engine's routes live in its home module.
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
+from functools import partial
 from importlib import import_module
 from typing import Any, Callable, Iterator
 
-from .counting import BRUTE_FORCE_MAX_N, ClassLabel, ClassVector
+from .counting import BRUTE_FORCE_MAX_N, ClassLabel, ClassVector, stepped
 
 ALL_LABELS = (ClassLabel.A, ClassLabel.B, ClassLabel.C, ClassLabel.D)
 
@@ -37,31 +38,33 @@ class EngineDomainError(ValueError):
 # exactly, such as decimal.Decimal.
 Num = Callable[[int], Any]
 
-def _pick(v: ClassVector, labels: tuple[ClassLabel, ...]) -> tuple[int, ...]:
+def _pick(row: tuple, labels: tuple[ClassLabel, ...]) -> tuple:
+    if not isinstance(row, ClassVector):  # a row already in label order
+        return row
     if labels == ALL_LABELS:
-        return v[1:]  # a plain tuple: the counts after n
-    return tuple(map(v.component, labels))
+        return row[1:]  # a plain tuple: the counts after n
+    return tuple(map(row.component, labels))
 
 
-class EngineInfo(namedtuple("EngineInfo", "name min_n max_n labels home point stream", defaults=(None,))):
+class EngineInfo(namedtuple("EngineInfo", "name min_n max_n labels home point step", defaults=(None,))):
     """An engine's domain, its classes from min_n to max_n (None: no cap), and its routes in module home.
 
-    at(labels, n, num=int) gives those classes' values at n, in label order and as num, and
-    rows(labels, lo, hi, num=int) gives them for n = lo..hi.  Both call point(m, labels, n, num),
-    or rows calls stream(m, labels, lo, hi, num), the engine's own rows route (its point values at
-    lo, then its step), with m the module home, imported on the call.
+    at(labels, n, num=int) gives those classes' values at n, in label order and as num, by
+    point(m, labels, n, num), with m the module home, imported on the call.  rows(labels, lo, hi,
+    num=int) gives them for n = lo..hi: point over n, or, given step(m, labels) -> (order, next),
+    point values from lo until a window of order rows is full, then next(window).
     """
 
     __slots__ = ()
 
     def at(self, labels: tuple[ClassLabel, ...], n: int, num: Num = int) -> tuple:
-        return self.point(import_module(f"{__package__}.{self.home}"), labels, n, num)
+        return _pick(self.point(import_module(f"{__package__}.{self.home}"), labels, n, num), labels)
 
     def rows(self, labels: tuple[ClassLabel, ...], lo: int, hi: int, num: Num = int) -> Iterator[tuple]:
         m = import_module(f"{__package__}.{self.home}")
-        if self.stream is not None:
-            return self.stream(m, labels, lo, hi, num)
-        return (self.point(m, labels, n, num) for n in range(lo, hi + 1))
+        point = partial(self.point, m, labels, num=num)
+        rows = map(point, range(lo, hi + 1)) if self.step is None else stepped(point, *self.step(m, labels), lo, hi)
+        return (_pick(row, labels) for row in rows)
 
 
 # Each route reads its engine functions from m as it runs, so it follows that module's bindings.
@@ -73,20 +76,20 @@ ENGINES: dict[str, EngineInfo] = {
         EngineInfo("compsum", 0, None, ALL_LABELS, "counting",
                    lambda m, labels, n, num: tuple(map(num, _pick(m.composition_sum(n), labels)))),
         EngineInfo("coupled", 0, None, ALL_LABELS, "recurrence",
-                   lambda m, labels, n, num: _pick(m.coupled_at(n, num), labels),
-                   lambda m, labels, lo, hi, num: (_pick(v, labels) for v in m.coupled_rows(lo, hi, num))),
+                   lambda m, labels, n, num: m.coupled_at(n, num),
+                   lambda m, labels: (1, lambda w: m.coupled_step(w[-1]))),
         EngineInfo("decoupled", 0, None, ALL_LABELS, "recurrence",
                    lambda m, labels, n, num: m.decoupled_at(labels, n, num),
-                   lambda m, labels, lo, hi, num: m.decoupled_rows(labels, lo, hi, num)),
+                   lambda m, labels: m.recurrences_step([m.DECOUPLED[label] for label in labels])),
         EngineInfo("quartic-c", 0, None, (ClassLabel.C,), "recurrence",
                    lambda m, labels, n, num: (m.quartic_c(n, num),),
-                   lambda m, labels, lo, hi, num: zip(m.quartic_c_rows(lo, hi, num))),
+                   lambda m, labels: m.recurrences_step([m.QUARTIC_C])),
         EngineInfo("closed", 1, None, ALL_LABELS, "closedform", lambda m, labels, n, num: m.closed_form_at(labels, n, num)),
         EngineInfo("rootbasis", 1, None, ALL_LABELS, "closedform", lambda m, labels, n, num: m.root_basis_at(labels, n, num)),
         EngineInfo("mod4", 1, None, ALL_LABELS, "closedform", lambda m, labels, n, num: m.case_mod4_at(labels, n, num)),
         EngineInfo("genfun", 0, None, ALL_LABELS, "genfun",
                    lambda m, labels, n, num: m.gf_at(tuple(map(m.gf_for_class, labels)), n, num),
-                   lambda m, labels, lo, hi, num: m.gf_rows(tuple(map(m.gf_for_class, labels)), lo, hi, num)),
+                   lambda m, labels: m.gf_step(tuple(map(m.gf_for_class, labels)))),
     )
 }
 

@@ -14,17 +14,17 @@ normalisation, to 1 - 27x + 27x^2 - 729x^3, whose reversed coefficients
 are exactly the shared third-order recurrence; coefficient extraction
 from these functions is therefore a sixth independent compute engine:
 gf_at gives one n by Bostan-Mori halving, in one chain for each distinct
-denominator, which A, B and C share, and gf_rows a run from any n, from
-gf_at's values there and then the denominator's recursion.
+denominator, which A, B and C share; gf_step steps a run of rows on
+from gf_at's values at any n, by each denominator's recursion.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from operator import mul
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
-from .counting import ClassLabel, InternalError, require_nonnegative, stepped
+from .counting import ClassLabel, InternalError, columns, require_nonnegative, stepped
 
 #: Polynomial with integer coefficients, ascending, index = degree.
 IntPolynomial = tuple[int, ...]
@@ -134,15 +134,13 @@ def gf_at(gfs: Sequence[RationalGF], n: int, num: Callable[[int], T] = int) -> t
     return tuple(map(coefficients.__getitem__, gfs))
 
 
-def gf_rows(gfs: Sequence[RationalGF], lo: int, hi: int, num: Callable[[int], T] = int) -> Iterator[tuple]:
-    """(c_n of each generating function P/Q) for n = lo..hi, as num: gf_at until past every P, then each denominator.
+def gf_step(gfs: Sequence[RationalGF]) -> tuple[int, Callable[[Sequence[tuple]], tuple]]:
+    """(order, next) of a row of the c_n of each P/Q: the window past every P, and each Q's recursion.
 
     Past P, q_0*c_n = -sum_{j>=1} q_j*c_{n-j}; with |q_0| = 1 every c_n stays an exact integer.
     """
-    steps = [_denominator_step(gf) for gf in gfs]
     order = max(max(len(gf.denominator) - 1, len(gf.numerator)) for gf in gfs)
-    return stepped(lambda n: gf_at(gfs, n, num), order,
-                   lambda w: tuple(step(col) for step, col in zip(steps, zip(*w))), lo, hi)
+    return order, columns([_denominator_step(gf) for gf in gfs])
 
 
 def _denominator_step(gf: RationalGF) -> Callable[[Sequence[T]], T]:
@@ -152,6 +150,6 @@ def _denominator_step(gf: RationalGF) -> Callable[[Sequence[T]], T]:
 
 
 def gf_coefficients(gf: RationalGF, N: int) -> list[int]:
-    """Taylor coefficients c_0..c_N of a rational generating function (see gf_rows)."""
+    """Taylor coefficients c_0..c_N of a rational generating function: gf_at, then gf_step."""
     require_nonnegative(N, "N")
-    return [c for c, in gf_rows((gf,), 0, N)]
+    return [c for c, in stepped(lambda n: gf_at((gf,), n), *gf_step((gf,)), 0, N)]

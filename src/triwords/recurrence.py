@@ -29,27 +29,27 @@ once for A, B and C; coupled_at powers the transition matrix.  That
 matrix commutes with the relabelling A -> B -> C -> A, so each of its
 powers is fixed by six entries, which coupled_at reads off it after
 checking the commutation; a squaring then takes 16 big products, not
-64.  A run of rows from any lo (coupled_rows, decoupled_rows,
-quartic_c_rows) takes point values until the step's window is full, then
-steps, by the one runner counting.stepped, so only the point routes read
-the seeds.  Rows and point routes alike take the number type of their
-seeds, `num`: int by default, or `decimal.Decimal` for output, whose
-text is linear time and whose large products use a number-theoretic
-transform (the caller then reads it in `digits.EXACT`).  Every route
-starts from num seeds and num constants, and mixes its values only with
-small ints, so no computed int is ever converted.  The relations that
-validate prints are stated here once, as plain text: C's factorisation
-(CHAR_POLY_RELATION) and every intermediate elimination identity
-(IDENTITY_RELATIONS).  `relations` reads and checks them, so only the
-command that checks a relation, validate, compiles the reader.
+64.  The registry runs rows from any lo by counting.stepped: point
+values until the step's window is full, then coupled_step, or each
+recurrence's own step on its column (recurrences_step), so only the
+point routes read the seeds.  Rows and point routes alike take the
+number type of their seeds, `num`: int by default, or `decimal.Decimal`
+for output, whose text is linear time and whose large products use a
+number-theoretic transform (the caller then reads it in `digits.EXACT`).
+Every route starts from num seeds and num constants, and mixes its
+values only with small ints, so no computed int is ever converted.  The
+relations that validate prints are stated here once, as plain text: C's
+factorisation (CHAR_POLY_RELATION) and every intermediate elimination
+identity (IDENTITY_RELATIONS).  `relations` reads and checks them, so
+only the command that checks a relation, validate, compiles the reader.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
-from .counting import ClassLabel, ClassVector, InternalError, require_nonnegative, stepped
+from .counting import ClassLabel, ClassVector, InternalError, columns, require_nonnegative, stepped
 
 T = TypeVar("T")
 
@@ -206,29 +206,15 @@ def decoupled_at(labels: Sequence[ClassLabel], n: int, num: Callable[[int], T] =
     return _recurrences_at([DECOUPLED[label] for label in labels], n, num)
 
 
-def coupled_rows(lo: int, hi: int, num: Callable[[int], T] = int) -> Iterator[ClassVector]:
-    """Class vectors for n = lo..hi, as num: coupled_at(lo), then the coupled step."""
-    return stepped(lambda n: coupled_at(n, num), 1, lambda w: coupled_step(w[-1]), lo, hi)
-
-
-def decoupled_rows(labels: Sequence[ClassLabel], lo: int, hi: int, num: Callable[[int], T] = int) -> Iterator[tuple]:
-    """(C_label(n) for each label) for n = lo..hi, as num: decoupled_at until the widest window is full, then each class's step."""
-    steps = [DECOUPLED[label][1] for label in labels]
-    order = max(len(DECOUPLED[label][0]) for label in labels)
-    return stepped(lambda n: decoupled_at(labels, n, num), order,
-                   lambda w: tuple(step(col) for step, col in zip(steps, zip(*w))), lo, hi)
-
-
-def quartic_c_rows(lo: int, hi: int, num: Callable[[int], T] = int) -> Iterator[T]:
-    """C_C(n) for n = lo..hi by the fourth-order recurrence, as num: quartic_c until its window is full, then its step."""
-    seeds, step = QUARTIC_C
-    return stepped(lambda n: quartic_c(n, num), len(seeds), step, lo, hi)
+def recurrences_step(recurrences: Sequence[Recurrence]) -> tuple[int, Callable[[Sequence[tuple]], tuple]]:
+    """(order, next) of a row of recurrences (seeds, step): the widest window, and each step on its column."""
+    return max(len(seeds) for seeds, _ in recurrences), columns([step for _, step in recurrences])
 
 
 def coupled_sequence(N: int) -> list[ClassVector]:
     """Class vectors for n = 0..N, stepped from the seed (1, 0, 0, 0)."""
     require_nonnegative(N, "N")
-    return list(coupled_rows(0, N))
+    return list(stepped(coupled_at, 1, lambda w: coupled_step(w[-1]), 0, N))
 
 
 def decoupled_third_order(label: ClassLabel, n: int) -> int:

@@ -1,6 +1,6 @@
 """The checks that validate prints, and the reader of the relation texts they check.
 
-The report, on ints, checks every engine's rows, and each streaming
+The report, on ints, checks every engine's rows, and each stepping
 engine's point route at n <= 8 and at its last n, against the coupled
 reference, whose own point route it checks at the same n against the
 reference stream; then the 27^n total identity, the
@@ -201,7 +201,7 @@ CHECK_MAX_N = {"compsum": 300}
 def _agreement(
     name: str, reference: list[ClassVector], info: EngineInfo, lo: int, hi: int, rows: bool = True
 ) -> CheckResult:
-    """Compare an engine's rows on [lo, hi], and a streaming one's point route at n <= 8 and at hi, with a reference.
+    """Compare an engine's rows on [lo, hi], and a stepping one's point route at n <= 8 and at hi, with a reference.
 
     Without rows only the point route is compared: the reference engine's, against its own stream.
     """
@@ -209,7 +209,7 @@ def _agreement(
     checks = points = (("point route ", n, info.at(info.labels, n)) for n in (*range(lo, last + 1), hi))
     if rows:
         checks = (("", n, row) for n, row in enumerate(info.rows(info.labels, lo, hi), lo))
-        if info.stream is not None:
+        if info.step is not None:
             checks = chain(checks, points)
     for route, n, row in checks:
         want = tuple(map(reference[n].component, info.labels))

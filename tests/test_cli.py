@@ -1009,6 +1009,43 @@ def test_stdout_closed_at_start_is_an_output_error():
     _assert_output_error(proc)
 
 
+@pytest.mark.skipif(os.name != "posix" or not os.path.exists("/dev/full"), reason="redirects with a POSIX shell")
+@pytest.mark.parametrize(
+    "argv, redirect, status",
+    [
+        ("compute --class A --n -1", "2>&-", 2),
+        ("compute --class A --n 1", ">/dev/full 2>/dev/full", OUTPUT_ERROR),
+        ("table --format csv --max-n 3000", ">/dev/full 2>/dev/full", OUTPUT_ERROR),
+    ],
+    ids=["usage-stderr-closed", "compute-both-full", "table-both-full"],
+)
+def test_unwritable_stderr_keeps_the_status(argv, redirect, status):
+    # The error line is lost, not printed on stdout, and the status is the one the
+    # request earned, not a failed check's 1.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = f'exec "$0" -m triwords {argv} {redirect}'
+    proc = subprocess.run(["sh", "-c", script, sys.executable], capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (status, b"")
+
+
+@pytest.mark.parametrize("exc", ["TypeError", "ZeroDivisionError", "AttributeError", "MemoryError", "RecursionError"])
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("closedform.case_mod4_at", ["compute", "--engine", "mod4", "--class", "A", "--n", "5"]),
+        ("recurrence.coupled_step", ["table", "--engine", "coupled", "--max-n", "5", "--format", "csv"]),
+    ],
+    ids=["point-route", "step"],
+)
+def test_any_other_exception_is_internal_error(tmp_path, monkeypatch, target, argv, exc):
+    # Not a ValueError, so no usage error; and no traceback with the status of a failed check.
+    module, name = target.split(".")
+    failure = f"import triwords.{module} as m\ndef broken(*args):\n    raise {exc}\nm.{name} = broken\n"
+    monkeypatch.setitem(FAILURES, exc, failure)
+    status, _, err = _run_entry(tmp_path, ENTRIES["module"], argv, exc)
+    assert (status, err.decode().splitlines()) == (3, [f"internal error: {exc}"])
+
+
 def test_bench_binds_the_route_before_its_clock_starts():
     # A route imports its engine's module on first use; bench must not time that.
     script = (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import tracemalloc
@@ -26,7 +27,7 @@ from triwords.engines import (
     series,
 )
 from triwords.genfun import gf_at, gf_for_class
-from triwords.recurrence import coupled_at, quartic_c_rows
+from triwords.recurrence import coupled_at
 from triwords.relations import run_validation
 from triwords.ring import AlgebraicQ3i
 from truth_table import TRUTH
@@ -116,7 +117,7 @@ class TestDecimalSeries:
             want = [(v.n, *map(str, (*v.as_tuple(), v.total))) for v in compute_series(engine, max_n)]
             assert got == want, engine
         with localcontext(EXACT):
-            got = list(map(str, quartic_c_rows(0, max_n, Decimal)))
+            got = [str(c) for c, in engines.ENGINES["quartic-c"].rows((ClassLabel.C,), 0, max_n, Decimal)]
         assert got == [str(v.c) for v in compute_series("decoupled", max_n)]
 
 
@@ -153,6 +154,37 @@ class TestSeek:
         assert all(type(v) is num for row in got for v in row)
 
 
+# Each stepping engine's point function, in its home module.
+POINT_FUNCTIONS = {
+    "coupled": (recurrence, "coupled_at"),
+    "decoupled": (recurrence, "decoupled_at"),
+    "quartic-c": (recurrence, "quartic_c"),
+    "genfun": (genfun, "gf_at"),
+}
+
+
+class TestSeekCost:
+    @pytest.mark.parametrize("engine", POINT_ROUTE_ENGINES)
+    @given(lo=st.integers(min_value=0, max_value=3000), span=st.integers(min_value=50, max_value=300), data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_a_seek_costs_one_window_of_point_values(self, engine, lo, span, data):
+        info = engines.ENGINES[engine]
+        labels = tuple(data.draw(st.lists(st.sampled_from(info.labels), min_size=1, max_size=4), label="labels"))
+        home, name = POINT_FUNCTIONS[engine]
+        real, points = getattr(home, name), []
+
+        def spy(*args, **kwargs):
+            points.append(inspect.signature(real).bind(*args, **kwargs).arguments["n"])
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(home, name, spy)
+            rows = list(info.rows(labels, lo, lo + span))
+        order = info.step(home, labels)[0]
+        assert len(rows) == span + 1
+        assert order <= 5 and points == list(range(lo, lo + order))
+
+
 class TestPointRoutes:
     @given(st.sampled_from(POINT_ROUTE_ENGINES), st.integers(min_value=0, max_value=2000))
     @settings(max_examples=40, deadline=None)
@@ -179,9 +211,7 @@ class TestPointRoutes:
         def walked(*args):
             raise AssertionError("a point request walked a stream")
 
-        for rows in ("coupled_rows", "decoupled_rows", "quartic_c_rows"):
-            monkeypatch.setattr(recurrence, rows, walked)
-        monkeypatch.setattr(genfun, "gf_rows", walked)
+        monkeypatch.setattr(engines, "stepped", walked)
         for engine in POINT_ROUTE_ENGINES:
             labels = engines.ENGINES[engine].labels
             for n in range(9):
@@ -244,13 +274,14 @@ class TestValidation:
         assert result.detail == f"point route mismatch at n=40 class B: {brief(want + 1)} != {brief(want)}"
 
     def test_sum_identity_names_the_first_wrong_total(self, monkeypatch):
-        # the reference rows with D one too large at n = 7 alone
-        real = recurrence.coupled_rows
+        # the reference rows stepped with D one too large at n = 7, and so wrong from there on
+        real = recurrence.coupled_step
 
-        def corrupted(*args):
-            return (v._replace(d=v.d + 1) if v.n == 7 else v for v in real(*args))
+        def corrupted(v):
+            w = real(v)
+            return w._replace(d=w.d + 1) if w.n == 7 else w
 
-        monkeypatch.setattr(recurrence, "coupled_rows", corrupted)
+        monkeypatch.setattr(recurrence, "coupled_step", corrupted)
         (result,) = [r for r in run_validation(10) if r.name == "sum-identity"]
         assert result == ("sum-identity", False, "total at n=7 is not 27^7")
 

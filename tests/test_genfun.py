@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import pytest
 
-from triwords.counting import ClassLabel, composition_sum
+from triwords.counting import ClassLabel, composition_sum, stepped
 from triwords.genfun import (
     NonUnitConstantTerm,
     RationalGF,
     gf_at,
     gf_coefficients,
     gf_for_class,
-    gf_rows,
+    gf_step,
     poly_mul,
     poly_trim,
 )
@@ -121,7 +121,8 @@ class TestRationalGF:
 
     @pytest.mark.parametrize("gf", UNNORMALISED, ids=["class-a-unnormalised", "numerator-past-denominator"])
     def test_point_route_with_minus_one_constant_term_matches_stream(self, gf):
-        assert [gf_at((gf,), n) for n in range(120)] == list(gf_rows((gf,), 0, 119)) == list(zip(series(gf, 119)))
+        stream = list(stepped(lambda n: gf_at((gf,), n), *gf_step((gf,)), 0, 119))
+        assert [gf_at((gf,), n) for n in range(120)] == stream == list(zip(series(gf, 119)))
 
     def test_point_route_shares_denominators_and_matches_each_stream(self):
         # Four denominators: A, B and C's, D's, and one for each unnormalised
@@ -129,7 +130,8 @@ class TestRationalGF:
         gfs = (*map(gf_for_class, ClassLabel), *UNNORMALISED, gf_for_class(ClassLabel.B))
         assert len({gf.denominator for gf in gfs}) == 4
         want = list(zip(*(series(gf, 119) for gf in gfs)))
-        assert [gf_at(gfs, n) for n in range(120)] == list(gf_rows(gfs, 0, 119)) == want
+        stream = list(stepped(lambda n: gf_at(gfs, n), *gf_step(gfs), 0, 119))
+        assert [gf_at(gfs, n) for n in range(120)] == stream == want
 
     @pytest.mark.parametrize("at", range(7))
     def test_point_route_refuses_a_non_unit_constant_term_anywhere(self, at):

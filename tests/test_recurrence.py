@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 import re
 from decimal import Context, Decimal, Inexact, localcontext
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,6 @@ from triwords.recurrence import (
     coupled_at,
     coupled_sequence,
     coupled_step,
-    coupled_rows,
     decoupled_at,
     decoupled_d,
     decoupled_third_order,
@@ -100,7 +98,7 @@ class TestSixEntryForm:
     def test_any_invariant_matrix_powers_like_its_stream(self, six, n):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recurrence, "TRANSITION_MATRIX", _full(six))
-            assert coupled_at(n) == next(islice(coupled_rows(0, n), n, None))
+            assert coupled_at(n) == coupled_sequence(n)[n]
 
     @pytest.mark.parametrize(
         "i, j", [(1, 1), (2, 0), (0, 3), (2, 3), (3, 1), (3, 2)],

@@ -64,6 +64,8 @@ bfile_head() {
 
 # A write error must not read as a failed check (status 1): a full stdout
 # exits 74 (EX_IOERR) with one `error:` line on stderr, buffered or not.
+# A stderr that cannot take that line, closed or full, keeps the status,
+# and the line is not printed on stdout instead.
 output_full() {
   for unbuffered in "" 1; do
     status=0
@@ -73,6 +75,13 @@ output_full() {
     test "$(wc -l < "$tmp/err.txt")" -eq 1
     grep -q '^error: ' "$tmp/err.txt"
   done
+  status=0
+  python -m triwords compute --class A --n -1 > "$tmp/out.txt" 2>&- || status=$?
+  test "$status" -eq 2
+  test ! -s "$tmp/out.txt"
+  status=0
+  python -m triwords table --format csv --max-n 3000 > /dev/full 2> /dev/full || status=$?
+  test "$status" -eq 74
 }
 
 # table computes its rows in exact decimal arithmetic, which validate (ints
