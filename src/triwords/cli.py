@@ -2,19 +2,18 @@
 
 `parse` reads argv by one table, `COMMANDS`, as argparse did; `-h` prints
 the usage built from it.  Exit status is 0 on success, 1 when a validation
-check fails, 2 for usage errors (a bad argv or an out-of-domain request:
-one `error:` line on stderr), 3 for internal errors (one `internal error:`
-line for a `counting.InternalError`, an engine's value that cannot be
-right or input it cannot use, a signalled `decimal` operation, or any
-other exception but a `ValueError`), 141 (128 + SIGPIPE), printing
-nothing, when the reader of stdout closes it early, as `| head` does, and
-74 (`EX_IOERR`) when stdout cannot be written, full or closed: one
-`error: cannot write output:` line on stderr.  A line that stderr cannot
-take is dropped, and the status stays.  Every printed value is an exact
-`Decimal` in `digits.EXACT`, printed as `str()` gives it, in linear time
-(`compute` and `bench`'s digests in pieces, by `digits.write_decimal`):
-outputs diff bit for bit, and no command calls `str()` on an int past
-CPython's lowest int-to-str cap.
+check fails, 2 for a refused request, a bad argv or an out-of-domain one
+(an `engines.EngineDomainError`, raised only where a request is read: one
+`error:` line on stderr), 3 for any other exception, a plain `ValueError`
+too (one `internal error:` line, no traceback), 141 (128 + SIGPIPE),
+printing nothing, when the reader of stdout closes it early, as `| head`
+does, and 74 (`EX_IOERR`) when stdout cannot be written, full or closed:
+one `error: cannot write output:` line on stderr.  A line that stderr
+cannot take is dropped, and the status stays.  Every printed value is an
+exact `Decimal` in `digits.EXACT`, printed as `str()` gives it, in linear
+time (`compute` and `bench`'s digests in pieces, by
+`digits.write_decimal`): outputs diff bit for bit, and no command calls
+`str()` on an int past CPython's lowest int-to-str cap.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from decimal import Decimal, localcontext
 from itertools import chain
 from typing import Iterator
 
-from .counting import ClassLabel, InternalError, require_nonnegative
+from .counting import ClassLabel
 from .digits import EXACT, decimal_digits, write_decimal
 from .engines import ALL_LABELS, ENGINE_IDS, EngineDomainError, bench_engine, check_domain, compute_value, series
 
@@ -52,10 +51,11 @@ def _bfile_stream(sequence: str, max_n: int, offset: int = 1) -> Iterator[str]:
     to max_n.  A refused request raises on the call, before any line is read.
     """
     if sequence not in OEIS_SEQUENCES:
-        raise ValueError(f"unknown sequence {sequence!r}; known: {', '.join(OEIS_SEQUENCES)}")
-    require_nonnegative(max_n, "max_n")
+        raise EngineDomainError(f"unknown sequence {sequence!r}; known: {', '.join(OEIS_SEQUENCES)}")
+    if max_n < 0:
+        raise EngineDomainError(f"max_n must be nonnegative, got {max_n}")
     if not 0 <= offset <= max_n:
-        raise ValueError(f"offset must be in 0..max_n, got {offset}")
+        raise EngineDomainError(f"offset must be in 0..max_n, got {offset}")
     label = OEIS_SEQUENCES[sequence]
     values = check_domain("decoupled", max_n, label).rows((label,), offset, max_n, Decimal)
     return (f"{n} {value!s}" for n, (value,) in enumerate(values, offset))
@@ -194,7 +194,7 @@ def _option(token: str, names: list[str]) -> tuple[str, str | None] | None:
         return None
     matches = [name] if name in names else [o for o in names if o.startswith(name)] if token[1] == "-" else []
     if len(matches) > 1:
-        raise ValueError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        raise EngineDomainError(f"ambiguous option: {token} could match {', '.join(matches)}")
     if matches:
         return matches[0], text if eq else None
     if token.startswith("-h"):
@@ -206,7 +206,7 @@ def _option(token: str, names: list[str]) -> tuple[str, str | None] | None:
 
 def parse(argv: list[str], command: str = "") -> tuple[str, dict]:
     """The command argv names and its values by option name without "--", or ("help", the
-    commands to describe); a usage error raises ValueError.  As argparse read it: "--opt
+    commands to describe); a usage error raises EngineDomainError.  As argparse read it: "--opt
     value" or "--opt=value" in any order, unique prefixes, negative values, the last of a
     repeated option, "--" before positionals.  The command reads the tokens after it."""
     options = COMMANDS[command][1] if command else {"command": (tuple(COMMANDS), None)}
@@ -232,18 +232,18 @@ def parse(argv: list[str], command: str = "") -> tuple[str, dict]:
             if name in ("-h", "--help"):
                 if text is None or name == "-h" and text and not text.strip("h"):
                     return "help", [command] if command else list(COMMANDS)
-                raise ValueError(f"argument -h/--help: ignored explicit argument {text!r}")
+                raise EngineDomainError(f"argument -h/--help: ignored explicit argument {text!r}")
             if text is None:
                 if kinds[i] is not None:
-                    raise ValueError(f"argument {name}: expected one argument")
+                    raise EngineDomainError(f"argument {name}: expected one argument")
                 text, i = argv[i], i + 1
         kind = options[name][0]
         if isinstance(kind, tuple) and text not in kind:
-            raise ValueError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(kind)})")
+            raise EngineDomainError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(kind)})")
         try:
             values[name] = int(text) if kind is int else text
         except ValueError:
-            raise ValueError(f"argument {name}: invalid int value: {text!r}") from None
+            raise EngineDomainError(f"argument {name}: invalid int value: {text!r}") from None
         if not command:
             parsed = parse(argv[i:], text)
             if unknown and parsed[0] != "help":
@@ -253,9 +253,9 @@ def parse(argv: list[str], command: str = "") -> tuple[str, dict]:
         unknown.append("--")
     missing = [name for name, (_, default) in options.items() if default is None and name not in values]
     if missing:
-        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+        raise EngineDomainError(f"the following arguments are required: {', '.join(missing)}")
     if unknown:
-        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+        raise EngineDomainError(f"unrecognized arguments: {' '.join(unknown)}")
     return command, {name.lstrip("-"): values.get(name, default) for name, (_, default) in options.items()}
 
 
@@ -288,8 +288,7 @@ def main(argv: list[str] | None = None) -> int:
             _to_null_device()
         status, line = OUTPUT_ERROR, f"error: cannot write output: {exc.strerror or exc}"
     except Exception as exc:
-        # A refused request raises ValueError; any other exception, an InternalError too, is a bug.
-        usage = isinstance(exc, ValueError) and not isinstance(exc, InternalError)
+        usage = isinstance(exc, EngineDomainError)  # only a refusal raises it; any other exception is a bug
         status = USAGE_ERROR if usage else INTERNAL_ERROR
         line = f"{'error' if usage else 'internal error'}: {str(exc) or type(exc).__name__}"
     if sys.stderr is not None:  # None when closed at start-up; a line it cannot take is dropped

@@ -25,7 +25,10 @@ T = TypeVar("T")
 
 
 class InternalError(ValueError):
-    """An engine produced or was given something that cannot be right: a bug, not a bad request."""
+    """An engine produced or was given something that cannot be right: a bug, not a bad request.
+
+    cli.main exits 3 for it, as for any exception but engines.EngineDomainError, the one refusal.
+    """
 
 
 class ArityMismatch(InternalError):

@@ -31,7 +31,7 @@ ALL_LABELS = (ClassLabel.A, ClassLabel.B, ClassLabel.C, ClassLabel.D)
 
 
 class EngineDomainError(ValueError):
-    """The engine does not cover the requested class or index."""
+    """A refused request: bad argv, or an engine, class or index not covered.  cli.main exits 2 for it alone."""
 
 
 # The number type of an engine's values: int, or a type built from an int

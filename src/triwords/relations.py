@@ -28,7 +28,8 @@ from typing import Callable, Iterable, Sequence
 from . import recurrence
 from .counting import ClassLabel, ClassVector, InternalError
 from .digits import brief
-from .engines import ENGINES, EngineInfo, compute_series
+from .engines import ENGINES, EngineDomainError, EngineInfo, compute_series
+from .genfun import poly_mul
 
 
 # Relation texts are read as data, never run.  _read parses a text with the
@@ -91,22 +92,19 @@ def _read(relation: str, in_x: bool) -> tuple[Poly, Poly]:
 def char_poly_check() -> bool:
     """Verify recurrence.CHAR_POLY_RELATION, read now, against the steps that C's routes run.
 
-    Each side is read as a polynomial in x (see _read).  At five points,
-    where two quartics that agree are equal, the left side must be the
-    quartic read off QUARTIC_C, and the right side (x + 1) times the cubic
-    read off C's step.
+    Each side is read as a polynomial in x (see _read).  Its coefficients,
+    ascending, must be the quartic's read off QUARTIC_C on the left, and on
+    the right (x + 1) times the cubic's read off C's step.
     """
     quartic = recurrence.char_poly(*recurrence.QUARTIC_C)
     cubic = recurrence.char_poly(*recurrence.DECOUPLED[ClassLabel.C])
-    left, right = _read(recurrence.CHAR_POLY_RELATION, in_x=True)
 
-    def at(poly: Sequence[int], x: int) -> int:
-        return sum(c * x**k for k, c in enumerate(poly))
+    def coefficients(side: Poly) -> tuple[int, ...]:
+        # A monomial in x alone is x^degree, and _collect drops zeros, so the top coefficient is not 0.
+        return tuple(side.get(("x",) * k, 0) for k in range(max(map(len, side), default=-1) + 1))
 
-    def value(side: Poly, x: int) -> int:
-        return sum(c * x ** len(monomial) for monomial, c in side.items())  # a monomial in x alone is x^degree
-
-    return all(value(left, x) == at(quartic, x) == (x + 1) * at(cubic, x) == value(right, x) for x in range(5))
+    left, right = map(coefficients, _read(recurrence.CHAR_POLY_RELATION, in_x=True))
+    return left == quartic == poly_mul((1, 1), cubic) == right
 
 
 Identity = tuple[str, str, int, int, Callable[[Sequence[ClassVector], int], int]]
@@ -225,7 +223,7 @@ def _agreement(
 def run_validation(max_n: int) -> list[CheckResult]:
     """All cross-engine, identity and structural checks up to max_n."""
     if max_n < 4:
-        raise ValueError(f"validation needs max_n >= 4, got {max_n}")
+        raise EngineDomainError(f"validation needs max_n >= 4, got {max_n}")
     reference = compute_series(REFERENCE_ENGINE, max_n)
     results = []
 

@@ -144,7 +144,7 @@ class TestCompute:
         assert err.startswith("internal error: simulated misdecoded letter counts")
 
     def test_any_internal_error_is_internal_error(self, capsys, monkeypatch):
-        # cli names one base class, so an internal error it was never told about still exits 3
+        # cli names no internal error class: one it was never told about exits 3, as any exception but a refusal
         from triwords.counting import InternalError
 
         def broken(labels, n, num=int):
@@ -1028,22 +1028,31 @@ def test_unwritable_stderr_keeps_the_status(argv, redirect, status):
     assert (proc.returncode, proc.stdout) == (status, b"")
 
 
-@pytest.mark.parametrize("exc", ["TypeError", "ZeroDivisionError", "AttributeError", "MemoryError", "RecursionError"])
 @pytest.mark.parametrize(
-    "target, argv",
-    [
-        ("closedform.case_mod4_at", ["compute", "--engine", "mod4", "--class", "A", "--n", "5"]),
-        ("recurrence.coupled_step", ["table", "--engine", "coupled", "--max-n", "5", "--format", "csv"]),
-    ],
-    ids=["point-route", "step"],
+    "exc", ["ValueError", "TypeError", "ZeroDivisionError", "AttributeError", "MemoryError", "RecursionError"]
 )
-def test_any_other_exception_is_internal_error(tmp_path, monkeypatch, target, argv, exc):
-    # Not a ValueError, so no usage error; and no traceback with the status of a failed check.
+@pytest.mark.parametrize(
+    "target, argv, printed",
+    [
+        ("closedform.case_mod4_at", ["compute", "--engine", "mod4", "--class", "A", "--n", "5"], b""),
+        # the header and row 0, taken from the point route, stream out before the first step
+        (
+            "recurrence.coupled_step",
+            ["table", "--engine", "coupled", "--max-n", "5", "--format", "csv"],
+            b"n,C_A,C_B,C_C,C_D,total\n0,1,0,0,0,1\n",
+        ),
+        ("genfun.gf_at", ["validate", "--max-n", "10"], b""),
+    ],
+    ids=["point-route", "step", "validate-check"],
+)
+def test_any_other_exception_is_internal_error(tmp_path, monkeypatch, target, argv, printed, exc):
+    # Not a refusal, so no usage error, a plain ValueError included; and no
+    # traceback with the status of a failed check.
     module, name = target.split(".")
     failure = f"import triwords.{module} as m\ndef broken(*args):\n    raise {exc}\nm.{name} = broken\n"
     monkeypatch.setitem(FAILURES, exc, failure)
-    status, _, err = _run_entry(tmp_path, ENTRIES["module"], argv, exc)
-    assert (status, err.decode().splitlines()) == (3, [f"internal error: {exc}"])
+    status, out, err = _run_entry(tmp_path, ENTRIES["module"], argv, exc)
+    assert (status, out, err.decode().splitlines()) == (3, printed, [f"internal error: {exc}"])
 
 
 def test_bench_binds_the_route_before_its_clock_starts():

@@ -223,7 +223,7 @@ class TestClassVector:
 
 
 def test_internal_errors_share_one_base():
-    # cli.main maps InternalError to exit 3; each stays a ValueError for callers that catch that
+    # cli.main exits 3 for each, as for any exception but a refusal; each stays a ValueError for callers that catch that
     from triwords.genfun import NonUnitConstantTerm
     from triwords.recurrence import NotRelabellingInvariant
     from triwords.ring import NotRationalInteger

@@ -3,8 +3,9 @@
 `build_parser` below is that parser, kept as the reference.  Hypothesis
 draws argv from the CLI grammar, well formed or not, and both parsers must
 reject it, or both print help for the same commands, or both accept it
-with equal values.  The accepted draws then run through `cli.main`, which
-must exit 0 or 2 on them: never an internal error, never a traceback.
+with equal values.  The draws then run through `cli.main`: an accepted one
+must exit 0 or 2, and a refused one 2, with one `error:` line and nothing
+on stdout.  No draw is an internal error or prints a traceback.
 """
 
 from __future__ import annotations
@@ -150,9 +151,16 @@ def _small(command: str, values: dict) -> bool:
 
 @settings(max_examples=150, deadline=None)
 @given(argv())
-def test_accepted_argv_exits_0_or_2(argv):
+def test_drawn_argv_exits_0_or_2(argv):
     parsed = reference(argv)
-    if parsed == "error" or parsed[0] == "help" or not _small(*parsed):
+    if parsed != "error" and (parsed[0] == "help" or not _small(*parsed)):
         return
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(argv) in (0, 2)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    if parsed == "error":
+        # every refusal site raises the one refusal type, so a refused argv is never an internal error
+        assert (status, out.getvalue(), len(err.getvalue().splitlines())) == (2, "", 1)
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert status in (0, 2)

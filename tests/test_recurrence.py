@@ -283,9 +283,18 @@ class TestCharPoly:
     def test_cubic_root_27(self):
         assert 27**3 - 27 * (27**2 - 27 + 27) == 0
 
-    @pytest.mark.parametrize("old, new", [("702x", "703x"), ("26x^3", "27x^3"), ("x^2 - x", "x^2 + x")])
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("702x", "703x"),
+            ("26x^3", "27x^3"),
+            ("x^2 - x", "x^2 + x"),
+            ("729 =", "729 + (x-0)(x-1)(x-2)(x-3)(x-4) ="),
+        ],
+    )
     def test_mutated_relation_fails(self, monkeypatch, old, new):
-        # the check and validate's char-poly line both read the one relation text
+        # the check and validate's char-poly line both read the one relation text; the last
+        # mutant's left side is a quintic that agrees with the quartic at x = 0..4
         mutant = recurrence.CHAR_POLY_RELATION.replace(old, new, 1)
         assert mutant != recurrence.CHAR_POLY_RELATION
         monkeypatch.setattr(recurrence, "CHAR_POLY_RELATION", mutant)

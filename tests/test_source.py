@@ -1,12 +1,14 @@
 """Checks on the source text: the oldest supported Python parses it, and the package runs no code from text.
 
-Only the module that reads the relation texts, relations, holds the parser.
+Only the module that reads the relation texts, relations, holds the parser,
+and only the functions that read a request raise its refusal.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -78,3 +80,34 @@ def test_package_keeps_no_functools_cache():
         and isinstance(node.value, ast.Name) and node.value.id == "functools"
     ]
     assert caches == []
+
+
+def _refusal_raisers(node: ast.AST, where: str) -> Iterator[str]:
+    """The innermost def around each `raise EngineDomainError...` below node, where is node's own."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "EngineDomainError":
+                yield where
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else where
+        yield from _refusal_raisers(child, inner)
+
+
+def test_only_request_readers_raise_the_refusal():
+    # cli.main exits 2 for engines.EngineDomainError alone, and 3 for any
+    # other exception.  So a refusal is raised where argv, or the request it
+    # names, is read and checked, never from inside an engine or a check.
+    raisers = {
+        f"{path.stem}.{where}"
+        for path in sorted((ROOT / "src" / "triwords").rglob("*.py"))
+        for where in _refusal_raisers(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    }
+    assert raisers == {
+        "cli._option",  # parse's reading of one token
+        "cli.parse",
+        "cli._bfile_stream",
+        "cli._cmd_bench",
+        "engines.check_domain",
+        "engines.series",
+        "relations.run_validation",
+    }
