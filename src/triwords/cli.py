@@ -2,18 +2,18 @@
 
 `parse` reads argv by one table, `COMMANDS`, as argparse did; `-h` prints
 the usage built from it.  Exit status is 0 on success, 1 when a validation
-check fails, 2 for a refused request, a bad argv or an out-of-domain one
-(an `engines.EngineDomainError`, raised only where a request is read: one
-`error:` line on stderr), 3 for any other exception, a plain `ValueError`
-too (one `internal error:` line, no traceback), 141 (128 + SIGPIPE),
-printing nothing, when the reader of stdout closes it early, as `| head`
-does, and 74 (`EX_IOERR`) when stdout cannot be written, full or closed:
-one `error: cannot write output:` line on stderr.  A line that stderr
-cannot take is dropped, and the status stays.  Every printed value is an
-exact `Decimal` in `digits.EXACT`, printed as `str()` gives it, in linear
-time (`compute` and `bench`'s digests in pieces, by
-`digits.write_decimal`): outputs diff bit for bit, and no command calls
-`str()` on an int past CPython's lowest int-to-str cap.
+check fails, 2 for a refused request, a bad argv or an out-of-domain one (an
+`engines.EngineDomainError`, raised only where a request is read: one
+`error:` line on stderr), 3 for any other exception, a bug (one `internal
+error:` line, no traceback), 141 (128 + SIGPIPE), silent, when the reader of
+stdout closes it early, as `| head` does, and 74 (`EX_IOERR`) when stdout
+cannot be written, full or closed: one `error: cannot write output:` line on
+stderr.  A line that stderr cannot take is dropped, and the status stays.
+Only status 0 means the output is whole: a streamed `table` or `bfile` that
+fails keeps the rows it wrote.  Every value prints as the `str()` of an
+exact `Decimal` in `digits.EXACT`, in linear time (`compute` and `bench`'s
+digests in pieces, by `digits.write_decimal`): outputs diff bit for bit, and
+no command calls `str()` on an int past CPython's lowest int-to-str cap.
 """
 
 from __future__ import annotations

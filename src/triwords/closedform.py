@@ -35,7 +35,7 @@ from decimal import Decimal
 from typing import Callable, TypeVar
 
 from .counting import ClassLabel, ClassVector
-from .ring import AlgebraicQ3i, I_SQRT3, NotRationalInteger, i_power, sqrt3_power
+from .ring import AlgebraicQ3i, I_SQRT3, i_power, sqrt3_power
 
 T = TypeVar("T")
 
@@ -60,10 +60,10 @@ def _require_positive(n: int) -> None:
 
 
 def _exact_quotient(value: AlgebraicQ3i, divisor: int) -> int | Decimal:
-    """value / divisor as an integer of value's type, or raise NotRationalInteger when it is not one."""
+    """value / divisor as an integer of value's type, or raise ValueError when it is not one."""
     quotient, remainder = divmod(value.to_integer(), divisor)
     if remainder:
-        raise NotRationalInteger(f"{value} is not a multiple of {divisor}")
+        raise ValueError(f"{value} is not a multiple of {divisor}")
     return quotient
 
 

@@ -24,25 +24,6 @@ from typing import Callable, Iterator, Sequence, TypeVar
 T = TypeVar("T")
 
 
-class InternalError(ValueError):
-    """An engine produced or was given something that cannot be right: a bug, not a bad request.
-
-    cli.main exits 3 for it, as for any exception but engines.EngineDomainError, the one refusal.
-    """
-
-
-class ArityMismatch(InternalError):
-    """Lower-index arguments of a trinomial coefficient do not sum to the upper index."""
-
-
-class NotDivisibleBy3(InternalError):
-    """Letter counts whose total is not a multiple of three cannot be classified."""
-
-
-class TooLarge(ValueError):
-    """Word enumeration was asked for more words than the guard allows."""
-
-
 class ClassLabel(Enum):
     """Residue class of a letter-count triple (see module docstring)."""
 
@@ -130,7 +111,7 @@ def trinomial(N: int, n1: int, n2: int, n3: int) -> int:
     if N < 0 or n1 < 0 or n2 < 0 or n3 < 0:
         return 0
     if n1 + n2 + n3 != N:
-        raise ArityMismatch(f"trinomial({N}; {n1}, {n2}, {n3}): lower indices sum to {n1 + n2 + n3}")
+        raise ValueError(f"trinomial({N}; {n1}, {n2}, {n3}): lower indices sum to {n1 + n2 + n3}")
     return comb(N, n1) * comb(N - n1, n2)
 
 
@@ -140,7 +121,7 @@ def classify(counts: Composition) -> ClassLabel:
     if n1 < 0 or n2 < 0 or n3 < 0:
         raise ValueError(f"letter counts must be nonnegative, got {counts}")
     if (n1 + n2 + n3) % 3:
-        raise NotDivisibleBy3(f"total letter count {n1 + n2 + n3} is not divisible by 3")
+        raise ValueError(f"total letter count {n1 + n2 + n3} is not divisible by 3")
     r1, r2, r3 = n1 % 3, n2 % 3, n3 % 3
     if r1 == r2 == r3:
         return _SAME_RESIDUE_CLASS[r1]
@@ -194,7 +175,7 @@ def brute_force_words(n: int) -> ClassVector:
     """
     require_nonnegative(n)
     if n > BRUTE_FORCE_MAX_N:
-        raise TooLarge(f"n = {n} means 3^{3 * n} words; refusing beyond n = {BRUTE_FORCE_MAX_N}")
+        raise ValueError(f"n = {n} means 3^{3 * n} words; refusing beyond n = {BRUTE_FORCE_MAX_N}")
     length = 3 * n
     base = length + 1
     half = length // 2

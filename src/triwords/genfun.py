@@ -24,16 +24,12 @@ from collections import namedtuple
 from operator import mul
 from typing import Callable, Sequence, TypeVar
 
-from .counting import ClassLabel, InternalError, columns, require_nonnegative, stepped
+from .counting import ClassLabel, columns, require_nonnegative, stepped
 
 #: Polynomial with integer coefficients, ascending, index = degree.
 IntPolynomial = tuple[int, ...]
 
 T = TypeVar("T")
-
-
-class NonUnitConstantTerm(InternalError):
-    """Coefficient extraction needs a denominator constant term of +-1 to stay integral."""
 
 
 def poly_trim(coeffs) -> IntPolynomial:
@@ -93,10 +89,10 @@ def gf_for_class(label: ClassLabel) -> RationalGF:
 
 
 def _unit_constant_term(gf: RationalGF) -> int:
-    """The denominator's constant term q_0; NonUnitConstantTerm unless it is +-1, which keeps coefficients integral."""
+    """The denominator's constant term q_0; a ValueError unless it is +-1, which keeps coefficients integral."""
     q0 = gf.denominator[0]
     if q0 not in (1, -1):
-        raise NonUnitConstantTerm(f"denominator constant term is {q0}, need +-1")
+        raise ValueError(f"denominator constant term is {q0}, need +-1")
     return q0
 
 

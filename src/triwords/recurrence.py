@@ -49,7 +49,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Sequence, TypeVar
 
-from .counting import ClassLabel, ClassVector, InternalError, columns, require_nonnegative, stepped
+from .counting import ClassLabel, ClassVector, columns, require_nonnegative, stepped
 
 T = TypeVar("T")
 
@@ -86,10 +86,6 @@ DECOUPLED: dict[ClassLabel, Recurrence] = {
 QUARTIC_C: Recurrence = ((0, 0, 90, 2268, 58806), lambda w: 26 * w[-1] + 702 * w[-3] + 729 * w[-4])
 
 
-class NotRelabellingInvariant(InternalError):
-    """The transition matrix does not commute with the relabelling A -> B -> C -> A."""
-
-
 def coupled_step(v: ClassVector) -> ClassVector:
     """Advance the four class counts from index n to n + 1."""
     vals = v.as_tuple()
@@ -103,10 +99,10 @@ Six = tuple[T, T, T, T, T, T]
 
 
 def six_entries(matrix: Sequence[Sequence[int]]) -> Six:
-    """(a, b, c, e, f, g) of a 4x4 matrix that commutes with A -> B -> C -> A, or raise NotRelabellingInvariant."""
+    """(a, b, c, e, f, g) of a 4x4 matrix that commutes with A -> B -> C -> A, or raise ValueError."""
     relabel = (1, 2, 0, 3)
     if any(matrix[relabel[i]][relabel[j]] != matrix[i][j] for i in range(4) for j in range(4)):
-        raise NotRelabellingInvariant(f"{matrix} does not commute with the relabelling A -> B -> C -> A")
+        raise ValueError(f"{matrix} does not commute with the relabelling A -> B -> C -> A")
     a, b, c, e = matrix[0]
     return a, b, c, e, matrix[3][0], matrix[3][3]
 

@@ -26,7 +26,7 @@ from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from . import recurrence
-from .counting import ClassLabel, ClassVector, InternalError
+from .counting import ClassLabel, ClassVector
 from .digits import brief
 from .engines import ENGINES, EngineDomainError, EngineInfo, compute_series
 from .genfun import poly_mul
@@ -78,14 +78,14 @@ def _read(relation: str, in_x: bool) -> tuple[Poly, Poly]:
                 return product(terms(left), terms(right))
             case ast.BinOp(base, ast.Pow(), ast.Constant(int(k))) if type(k) is int:
                 return reduce(product, [terms(base)] * k, [((), 1)])
-        raise InternalError(f"cannot read {ast.get_source_segment(source, node)!r} in the relation {relation!r}")
+        raise ValueError(f"cannot read {ast.get_source_segment(source, node)!r} in the relation {relation!r}")
 
     try:
         tree = ast.parse(source, mode="eval").body
     except SyntaxError as exc:
-        raise InternalError(f"cannot read the relation {relation!r}: {exc.msg}") from None
+        raise ValueError(f"cannot read the relation {relation!r}: {exc.msg}") from None
     if not (isinstance(tree, ast.Compare) and [type(op) for op in tree.ops] == [ast.Eq]):
-        raise InternalError(f"the relation {relation!r} is not one equation left = right")
+        raise ValueError(f"the relation {relation!r} is not one equation left = right")
     return _collect(terms(tree.left)), _collect(terms(tree.comparators[0]))
 
 
@@ -123,9 +123,9 @@ def _identity(name: str, relation: str) -> Identity:
     for monomial in form:
         if len(monomial) > 1:
             product = "*".join(f"{X}(n{k:+d})" if k else f"{X}(n)" for X, k in monomial)
-            raise InternalError(f"cannot read {product!r} in the identity {relation!r}: a product of terms")
+            raise ValueError(f"cannot read {product!r} in the identity {relation!r}: a product of terms")
     if not form:
-        raise InternalError(f"the identity {relation!r} has no term X(n+k)")
+        raise ValueError(f"the identity {relation!r} has no term X(n+k)")
     terms = [(c, k, ClassVector._fields.index(X.lower())) for ((X, k),), c in form.items()]
     offsets = [k for _, k, _ in terms]
 

@@ -32,12 +32,7 @@ from decimal import Decimal
 from numbers import Rational
 from typing import Callable, NoReturn
 
-from .counting import InternalError
 from .digits import brief
-
-
-class NotRationalInteger(InternalError):
-    """Raised when an element expected to be a plain integer is not one."""
 
 
 RationalLike = Rational | Decimal
@@ -111,7 +106,7 @@ class AlgebraicQ3i(namedtuple("AlgebraicQ3i", "a b c d", defaults=(0, 0, 0, 0)))
         return tuple.__new__(AlgebraicQ3i, (self.a, self.b, -self.c, -self.d))
 
     def to_integer(self) -> int | Decimal:
-        """Convert to a plain integer, or raise NotRationalInteger.
+        """Convert to a plain integer, or raise ValueError.
 
         One rule for every coordinate type: the sqrt3, i and i*sqrt3
         coordinates must vanish, and divmod(a, 1) must leave no remainder;
@@ -123,10 +118,10 @@ class AlgebraicQ3i(namedtuple("AlgebraicQ3i", "a b c d", defaults=(0, 0, 0, 0)))
         error is loud on purpose.
         """
         if self.b or self.c or self.d:
-            raise NotRationalInteger(f"{self} has irrational or imaginary parts")
+            raise ValueError(f"{self} has irrational or imaginary parts")
         quotient, remainder = divmod(self.a, 1)
         if remainder:
-            raise NotRationalInteger(f"{self} is not an integer")
+            raise ValueError(f"{self} is not an integer")
         return quotient
 
     def __str__(self) -> str:

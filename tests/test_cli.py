@@ -62,10 +62,8 @@ class TestCompute:
         assert "error" in err
 
     def test_internal_error_is_not_usage_error(self, capsys, monkeypatch):
-        from triwords.ring import NotRationalInteger
-
         def broken(self):
-            raise NotRationalInteger("simulated non-integer closed form")
+            raise ValueError("simulated non-integer closed form")
 
         monkeypatch.setattr("triwords.ring.AlgebraicQ3i.to_integer", broken)
         code, out, err = run_cli(capsys, "compute", "--class", "A", "--n", "5", "--engine", "closed")
@@ -132,10 +130,8 @@ class TestCompute:
         assert err.startswith("internal error: ")
 
     def test_unclassifiable_counts_are_internal_error(self, capsys, monkeypatch):
-        from triwords.counting import NotDivisibleBy3
-
         def broken(counts):
-            raise NotDivisibleBy3(f"simulated misdecoded letter counts {counts}")
+            raise ValueError(f"simulated misdecoded letter counts {counts}")
 
         monkeypatch.setattr("triwords.counting.classify", broken)
         code, out, err = run_cli(capsys, "compute", "--engine", "brute", "--class", "A", "--n", "2")
@@ -144,11 +140,9 @@ class TestCompute:
         assert err.startswith("internal error: simulated misdecoded letter counts")
 
     def test_any_internal_error_is_internal_error(self, capsys, monkeypatch):
-        # cli names no internal error class: one it was never told about exits 3, as any exception but a refusal
-        from triwords.counting import InternalError
-
+        # cli names no fault class: a plain ValueError from an engine exits 3, as any exception but a refusal
         def broken(labels, n, num=int):
-            raise InternalError("x")
+            raise ValueError("x")
 
         monkeypatch.setattr("triwords.closedform.case_mod4_at", broken)
         result = run_cli(capsys, "compute", "--engine", "mod4", "--class", "A", "--n", "5")
@@ -721,13 +715,13 @@ FAILURES = {
         "relations.run_validation = lambda max_n: [relations.CheckResult('engine/fake', False, 'mismatch at n=7')]\n"
     ),
     "internal": (
-        "import triwords.closedform as closedform\nfrom triwords.counting import InternalError\n"
-        "def broken(*args):\n    raise InternalError('x')\nclosedform.case_mod4_at = broken\n"
+        "import triwords.closedform as closedform\n"
+        "def broken(*args):\n    raise ValueError('x')\nclosedform.case_mod4_at = broken\n"
     ),
     "row 2": (
-        "import triwords.cli as cli\nfrom triwords.counting import InternalError\nrows = cli.series\n"
+        "import triwords.cli as cli\nrows = cli.series\n"
         "def series(*args):\n    for row in rows(*args):\n        if row.n == 2:\n"
-        "            raise InternalError('boom at 2')\n        yield row\ncli.series = series\n"
+        "            raise ValueError('boom at 2')\n        yield row\ncli.series = series\n"
     ),
 }
 

@@ -1,7 +1,8 @@
 """Checks on the source text: the oldest supported Python parses it, and the package runs no code from text.
 
 Only the module that reads the relation texts, relations, holds the parser,
-and only the functions that read a request raise its refusal.
+and only the functions that read a request raise its refusal, the one
+exception class the package defines.
 """
 
 from __future__ import annotations
@@ -111,3 +112,17 @@ def test_only_request_readers_raise_the_refusal():
         "engines.series",
         "relations.run_validation",
     }
+
+
+def test_package_defines_one_exception_class():
+    # A refusal is the one exception the CLI tells apart: anything else is a
+    # bug, which exits 3 with its message, whatever its class.  So an engine
+    # fault raises a plain ValueError, and no fault gets a class of its own.
+    classes = {
+        f"{path.stem}.{node.name}"
+        for path in sorted((ROOT / "src" / "triwords").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", getattr(base, "attr", "")).endswith(("Error", "Exception")) for base in node.bases)
+    }
+    assert classes == {"engines.EngineDomainError"}

@@ -34,6 +34,7 @@ STEPS=(
   bfile_seek
   enumerators
   bench
+  dev_mode
 )
 
 # The test extra in pyproject.toml lists the test dependencies.
@@ -189,6 +190,34 @@ bench() {
   if grep -E '\| +(_?hashlib|argparse|gettext|getopt|locale)$' "$tmp/bench-imports"; then exit 1; fi
   python -m triwords bench --max-n 100000 --engines coupled,decoupled,genfun,closed,rootbasis,mod4 | tee "$tmp/bench-100000"
   one_digest 6 "$tmp/bench-100000"
+}
+
+# Python's development mode under -W error makes any warning an exception:
+# a ResourceWarning, say, or a deprecation in a newer CPython.  Each run must
+# keep its status, and print on stderr no line but its own, if any.
+dev_mode() {
+  local dev=(python -X dev -W error -m triwords) status
+  "${dev[@]}" validate --max-n 40 > /dev/null 2> "$tmp/err.txt"
+  test ! -s "$tmp/err.txt"
+  "${dev[@]}" table --format json --max-n 300 > /dev/null 2> "$tmp/err.txt"
+  test ! -s "$tmp/err.txt"
+  "${dev[@]}" bench --max-n 5 --engines brute,compsum,coupled,decoupled,quartic-c,closed,rootbasis,mod4,genfun \
+    > /dev/null 2> "$tmp/err.txt"
+  test ! -s "$tmp/err.txt"
+  { status=0; "${dev[@]}" bfile A391470 --max-n 3000 2> "$tmp/err.txt" || status=$?; echo "$status" > "$tmp/status.txt"; } |
+    head -1 > /dev/null
+  test "$(cat "$tmp/status.txt")" -eq 141
+  test ! -s "$tmp/err.txt"
+  status=0
+  "${dev[@]}" compute --class A --n -1 > /dev/null 2> "$tmp/err.txt" || status=$?
+  test "$status" -eq 2
+  test "$(wc -l < "$tmp/err.txt")" -eq 1
+  grep -q '^error: ' "$tmp/err.txt"
+  status=0
+  "${dev[@]}" table --format csv --max-n 3000 > /dev/full 2> "$tmp/err.txt" || status=$?
+  test "$status" -eq 74
+  test "$(wc -l < "$tmp/err.txt")" -eq 1
+  grep -q '^error: cannot write output: ' "$tmp/err.txt"
 }
 
 # A bench table ($2) has $1 rows after its header, all ending in one digest.
