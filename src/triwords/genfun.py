@@ -53,14 +53,15 @@ def poly_mul(p, q) -> IntPolynomial:
 
 
 class RationalGF(namedtuple("RationalGF", "numerator denominator")):
-    """A rational generating function numerator/denominator pair, each trimmed by poly_trim."""
+    """A rational generating function P/Q, each trimmed by poly_trim; Q's constant term q_0 must be +-1."""
 
     __slots__ = ()
 
     def __new__(cls, numerator, denominator) -> RationalGF:
         numerator, denominator = poly_trim(numerator), poly_trim(denominator)
-        if not denominator or denominator[0] == 0:
-            raise ValueError("denominator must have a nonzero constant term")
+        q0 = denominator[0] if denominator else 0
+        if q0 not in (1, -1):
+            raise ValueError(f"denominator constant term is {q0}, need +-1")
         return super().__new__(cls, numerator, denominator)
 
 
@@ -88,14 +89,6 @@ def gf_for_class(label: ClassLabel) -> RationalGF:
     return RationalGF(numerator, denominator)
 
 
-def _unit_constant_term(gf: RationalGF) -> int:
-    """The denominator's constant term q_0; a ValueError unless it is +-1, which keeps coefficients integral."""
-    q0 = gf.denominator[0]
-    if q0 not in (1, -1):
-        raise ValueError(f"denominator constant term is {q0}, need +-1")
-    return q0
-
-
 def _half_product(p, q, parity: int, terms: int) -> IntPolynomial:
     """The first `terms` coefficients of x^parity, x^(parity + 2), ... in p(x)q(-x)."""
     q_minus = [-c if j % 2 else c for j, c in enumerate(q)]
@@ -113,12 +106,12 @@ def gf_at(gfs: Sequence[RationalGF], n: int, num: Callable[[int], T] = int) -> t
     the even (n even) or odd part of P(x)Q(-x), over V, down to c_0 = P(0)/Q(0).
     Only the coefficients that can reach c_(n//2) are computed: the half of
     each product of the right parity, up to degree n//2, once per distinct Q
-    with every P over it.  P and Q are taken as num, and so is each c_n.
+    with every P over it.  P and Q are taken as num, and so is each c_n;
+    RationalGF's q_0 = +-1 makes the last division exact.
     """
     require_nonnegative(n)
     over: dict[IntPolynomial, list[RationalGF]] = {}  # each denominator, with the functions over it
     for gf in gfs:
-        _unit_constant_term(gf)
         over.setdefault(gf.denominator, []).append(gf)
     coefficients = {}
     for q, group in over.items():
@@ -133,14 +126,14 @@ def gf_at(gfs: Sequence[RationalGF], n: int, num: Callable[[int], T] = int) -> t
 def gf_step(gfs: Sequence[RationalGF]) -> tuple[int, Callable[[Sequence[tuple]], tuple]]:
     """(order, next) of a row of the c_n of each P/Q: the window past every P, and each Q's recursion.
 
-    Past P, q_0*c_n = -sum_{j>=1} q_j*c_{n-j}; with |q_0| = 1 every c_n stays an exact integer.
+    Past P, q_0*c_n = -sum_{j>=1} q_j*c_{n-j}; RationalGF's |q_0| = 1 keeps every c_n an exact integer.
     """
     order = max(max(len(gf.denominator) - 1, len(gf.numerator)) for gf in gfs)
     return order, columns([_denominator_step(gf) for gf in gfs])
 
 
 def _denominator_step(gf: RationalGF) -> Callable[[Sequence[T]], T]:
-    q, q0 = gf.denominator[1:], _unit_constant_term(gf)
+    q0, *q = gf.denominator
     # dividing by q0 = +-1, after negating the sum, so that a Decimal zero stays unsigned where q0 = 1
     return lambda w: -sum(map(mul, q, reversed(w))) * q0
 

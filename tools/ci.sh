@@ -2,16 +2,21 @@
 # The CI checks, one function each, and STEPS, the one list of them in CI
 # order: the workflow runs `bash tools/ci.sh install`, then `bash tools/ci.sh
 # all`, which runs every step of STEPS.  `bash tools/ci.sh <step> [args]`
-# runs one step.  The script sets each step's int-to-str cap, and
-# point_1000000 and bfile_seek their time limits, whatever the caller's environment.  Run it
-# from the repository root, with the package importable (the workflow sets
-# PYTHONPATH=src; so does this script when PYTHONPATH is unset).
+# runs one step.  The script sets each step's int-to-str cap and development
+# mode, and point_1000000 and bfile_seek their time limits, whatever the
+# caller's environment.  Run it from the repository root, with the package
+# importable (the workflow sets PYTHONPATH=src; so does this script when
+# PYTHONPATH is unset).
 set -eo pipefail
 export PYTHONPATH="${PYTHONPATH:-src}"
 # 640 digits is the lowest int-to-str cap CPython accepts: under it no step,
 # and no code it runs, may call str() on an int of over 640 digits.  Every
 # step runs under it but tests and bfile_head, which remove it.
 export PYTHONINTMAXSTRDIGITS=640
+# Development mode, warnings as errors: a warning fails its run (exit 3) or
+# prints on a stderr that the step requires to be empty.  Every step runs in
+# it but install, tests and tests_capped, which load pip and pytest.
+export PYTHONDEVMODE=1 PYTHONWARNINGS=error
 if [ -n "$RUNNER_TEMP" ]; then
   tmp="$RUNNER_TEMP"
 else
@@ -34,33 +39,35 @@ STEPS=(
   bfile_seek
   enumerators
   bench
-  dev_mode
 )
 
 # The test extra in pyproject.toml lists the test dependencies.
 install() {
-  python -m pip install -e ".[test]"
+  env -u PYTHONDEVMODE -u PYTHONWARNINGS python -m pip install -e ".[test]"
 }
 
 tests() {
-  env -u PYTHONINTMAXSTRDIGITS python -m pytest -q --continue-on-collection-errors
+  env -u PYTHONDEVMODE -u PYTHONWARNINGS -u PYTHONINTMAXSTRDIGITS python -m pytest -q --continue-on-collection-errors
 }
 
 tests_capped() {
-  python -m pytest -q --continue-on-collection-errors
+  env -u PYTHONDEVMODE -u PYTHONWARNINGS python -m pytest -q --continue-on-collection-errors
 }
 
 # validate computes on ints and prints no value past 40 digits, so a check
 # that called str() on a big value would fail under the cap.
 validate() {
-  python -m triwords validate --max-n "$1"
+  python -m triwords validate --max-n "$1" 2> "$tmp/err.txt"
+  test ! -s "$tmp/err.txt"
 }
 
-# A reader that stops early must not draw a traceback.  The status is
-# head's: python exits 141 when head closes the pipe, so pipefail is off.
+# A reader that stops early must not draw a traceback: python exits 141 when
+# head closes the pipe (pipefail is off), and prints nothing on stderr.
 bfile_head() {
   set +o pipefail
-  env -u PYTHONINTMAXSTRDIGITS python -m triwords bfile A391470 --max-n 3000 2>"$tmp/err.txt" | head -1 && test ! -s "$tmp/err.txt"
+  env -u PYTHONINTMAXSTRDIGITS python -m triwords bfile A391470 --max-n 3000 2> "$tmp/err.txt" | head -1
+  test "${PIPESTATUS[0]}" -eq 141
+  test ! -s "$tmp/err.txt"
 }
 
 # A write error must not read as a failed check (status 1): a full stdout
@@ -74,8 +81,13 @@ output_full() {
       status=$?
     test "$status" -eq 74
     test "$(wc -l < "$tmp/err.txt")" -eq 1
-    grep -q '^error: ' "$tmp/err.txt"
+    grep -q '^error: cannot write output: ' "$tmp/err.txt"
   done
+  status=0
+  python -m triwords compute --class A --n -1 > "$tmp/out.txt" 2> "$tmp/err.txt" || status=$?
+  test "$status" -eq 2
+  test "$(wc -l < "$tmp/err.txt")" -eq 1
+  grep -q '^error: ' "$tmp/err.txt"
   status=0
   python -m triwords compute --class A --n -1 > "$tmp/out.txt" 2>&- || status=$?
   test "$status" -eq 2
@@ -88,13 +100,14 @@ output_full() {
 # table computes its rows in exact decimal arithmetic, which validate (ints
 # only) never runs; three engines must print the same bytes.  The values at
 # n = 3000 have over 4,000 digits, so the CLI must print them without str()
-# of an int.  json names the engine, so that line is left out of the
-# comparison; csv and the aligned table have no such line.
+# of an int.  json names the engine, so that line is not compared.  No run
+# may print on stderr.
 tables() {
   for format in csv json table; do
     for engine in coupled decoupled genfun; do
-      python -m triwords table --format "$format" --max-n 3000 --engine "$engine" |
+      python -m triwords table --format "$format" --max-n 3000 --engine "$engine" 2> "$tmp/err.txt" |
         sed '/^  "engine": /d' > "$tmp/table-$engine.$format"
+      test ! -s "$tmp/err.txt"
     done
     cmp "$tmp/table-coupled.$format" "$tmp/table-decoupled.$format"
     cmp "$tmp/table-coupled.$format" "$tmp/table-genfun.$format"
@@ -104,13 +117,15 @@ tables() {
 # coupled, decoupled, genfun and quartic-c each reach a single value by their
 # own point route, in O(log n) big products, not by walking their stream; at
 # n = 100000 each must print mod4's bytes.  decoupled runs one table of
-# (seeds, step) recurrences, so B and D join A.
+# (seeds, step) recurrences, so B and D join A.  mod4 runs once per class.
 point_100000() {
+  for cls in A B C D; do
+    python -m triwords compute --class "$cls" --n 100000 --engine mod4 > "$tmp/point-mod4-$cls"
+  done
   for pair in A:coupled A:decoupled B:decoupled D:decoupled A:genfun C:quartic-c; do
     cls="${pair%%:*}" engine="${pair#*:}"
-    python -m triwords compute --class "$cls" --n 100000 --engine mod4 > "$tmp/point-mod4"
     python -m triwords compute --class "$cls" --n 100000 --engine "$engine" > "$tmp/point-$engine"
-    cmp "$tmp/point-mod4" "$tmp/point-$engine"
+    cmp "$tmp/point-mod4-$cls" "$tmp/point-$engine"
   done
 }
 
@@ -182,42 +197,17 @@ enumerators() {
 # parsing loads: start-up is most of a run that computes in milliseconds.
 # A second run compares the six point routes that are not enumerators at
 # n = 100000 in Decimal, where decoupled's shared residue and genfun's
-# shared halving chain carry real weight.
+# shared halving chain carry real weight, and a third all nine at n = 5;
+# neither may print on stderr.
 bench() {
   python -S -X importtime -m triwords bench --max-n 4000 --engines compsum,coupled,decoupled,closed,rootbasis,mod4,genfun \
     2> "$tmp/bench-imports" | tee "$tmp/bench"
   one_digest 7 "$tmp/bench"
   if grep -E '\| +(_?hashlib|argparse|gettext|getopt|locale)$' "$tmp/bench-imports"; then exit 1; fi
-  python -m triwords bench --max-n 100000 --engines coupled,decoupled,genfun,closed,rootbasis,mod4 | tee "$tmp/bench-100000"
+  python -m triwords bench --max-n 100000 --engines coupled,decoupled,genfun,closed,rootbasis,mod4 2> "$tmp/err.txt" | tee "$tmp/bench-100000"
   one_digest 6 "$tmp/bench-100000"
-}
-
-# Python's development mode under -W error makes any warning an exception:
-# a ResourceWarning, say, or a deprecation in a newer CPython.  Each run must
-# keep its status, and print on stderr no line but its own, if any.
-dev_mode() {
-  local dev=(python -X dev -W error -m triwords) status
-  "${dev[@]}" validate --max-n 40 > /dev/null 2> "$tmp/err.txt"
+  python -m triwords bench --max-n 5 --engines brute,compsum,coupled,decoupled,quartic-c,closed,rootbasis,mod4,genfun 2>> "$tmp/err.txt"
   test ! -s "$tmp/err.txt"
-  "${dev[@]}" table --format json --max-n 300 > /dev/null 2> "$tmp/err.txt"
-  test ! -s "$tmp/err.txt"
-  "${dev[@]}" bench --max-n 5 --engines brute,compsum,coupled,decoupled,quartic-c,closed,rootbasis,mod4,genfun \
-    > /dev/null 2> "$tmp/err.txt"
-  test ! -s "$tmp/err.txt"
-  { status=0; "${dev[@]}" bfile A391470 --max-n 3000 2> "$tmp/err.txt" || status=$?; echo "$status" > "$tmp/status.txt"; } |
-    head -1 > /dev/null
-  test "$(cat "$tmp/status.txt")" -eq 141
-  test ! -s "$tmp/err.txt"
-  status=0
-  "${dev[@]}" compute --class A --n -1 > /dev/null 2> "$tmp/err.txt" || status=$?
-  test "$status" -eq 2
-  test "$(wc -l < "$tmp/err.txt")" -eq 1
-  grep -q '^error: ' "$tmp/err.txt"
-  status=0
-  "${dev[@]}" table --format csv --max-n 3000 > /dev/full 2> "$tmp/err.txt" || status=$?
-  test "$status" -eq 74
-  test "$(wc -l < "$tmp/err.txt")" -eq 1
-  grep -q '^error: cannot write output: ' "$tmp/err.txt"
 }
 
 # A bench table ($2) has $1 rows after its header, all ending in one digest.
